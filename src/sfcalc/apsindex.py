@@ -8,14 +8,14 @@ from singular values, per ambient block, and weighted by the block traces.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ValidationError
 from .path import OperatorPath, smoothstep
 from .tracemodel import (BlockHermitian, Interval, WeightedBlockModel, eigh,
-                         spectral_projection, zero_tolerance)
+                         spectral_projection)
 
 __all__ = ["SuspensionProblem", "assemble", "aps_index",
            "halfline_aps_apply_inverse", "halfline_residual",
@@ -57,21 +57,21 @@ class SuspensionProblem:
         if self.geometry == "interval-APS" and not self.path.endpoint_flat:
             raise ValidationError("interval-APS requires an endpoint-flat path")
         if self.geometry == "cylinder":
-            gap = self._endpoint_gap()
+            gap = _endpoint_gap(self.effective_path())
             if gap <= 1e-8:
                 raise ValidationError(
                     f"cylinder geometry needs invertible endpoints (gap {gap:.3e})")
-
-    def _endpoint_gap(self):
-        path = self.effective_path()
-        g0 = float(np.min(np.abs(eigh(path.eval(0.0)).eigenvalues)))
-        g1 = float(np.min(np.abs(eigh(path.eval(1.0)).eigenvalues)))
-        return min(g0, g1)
 
     def effective_path(self):
         if self.endpoint_regularize:
             return _regularize_endpoints(self.path)
         return self.path
+
+
+def _endpoint_gap(path):
+    """Smallest eigenvalue modulus of the two endpoint operators."""
+    return min(float(np.min(np.abs(eigh(path.eval(u)).eigenvalues)))
+               for u in (0.0, 1.0))
 
 
 def _regularize_endpoints(path):
@@ -113,10 +113,7 @@ def _grid(prob, path):
     if prob.cylinder_length is not None:
         length = float(prob.cylinder_length)
     else:
-        dec0 = eigh(path.eval(0.0))
-        dec1 = eigh(path.eval(1.0))
-        gap = min(np.min(np.abs(dec0.eigenvalues)), np.min(np.abs(dec1.eigenvalues)))
-        length = 4.0 / float(gap)
+        length = 4.0 / _endpoint_gap(path)
     steps = max(1, math.ceil(length * m))
     return np.arange(-steps, m + steps + 1) / m
 
@@ -130,12 +127,8 @@ def _boundary_basis(dec, block_index, block_slice, side):
 
     ``side`` is "neg" (eigenvalues below the kernel cluster) or "nonneg".
     """
-    tol = zero_tolerance(dec.op_norm)
-    in_block = dec.block_index == block_index
-    if side == "neg":
-        mask = in_block & (dec.eigenvalues < -tol)
-    else:
-        mask = in_block & (dec.eigenvalues >= -tol)
+    nonneg = dec.nonneg_mask()
+    mask = (dec.block_index == block_index) & (nonneg if side == "nonneg" else ~nonneg)
     return dec.eigenvectors[block_slice, :][:, mask]
 
 
@@ -249,7 +242,8 @@ def aps_index(prob, check_stability=False):
     """Trace-weighted index of the suspension operator.
 
     Weighted kernel dimension of A minus that of A_adj, both detected by
-    singular values below ``kernel_threshold`` times the largest one.  With
+    singular values below ``kernel_threshold`` times the largest one, and
+    snapped to the weight lattice as the engine values are.  With
     ``check_stability`` the computation is repeated on the doubled grid and
     the two indices must agree.
     """
@@ -261,13 +255,9 @@ def aps_index(prob, check_stability=False):
         ker = _kernel_dim(a, prob.kernel_threshold)
         coker = _kernel_dim(adj, prob.kernel_threshold)
         total += w * (ker - coker)
+    total = path.model.snap(total)
     if check_stability:
-        finer = SuspensionProblem(
-            path=prob.path, grid_size=2 * prob.grid_size, scheme=prob.scheme,
-            geometry=prob.geometry, cylinder_length=prob.cylinder_length,
-            kernel_threshold=prob.kernel_threshold,
-            endpoint_regularize=prob.endpoint_regularize)
-        again = aps_index(finer, check_stability=False)
+        again = aps_index(replace(prob, grid_size=2 * prob.grid_size))
         if abs(again - total) > 1e-9:
             raise NumericError(
                 f"index unstable under grid doubling: {total} vs {again}",
@@ -305,7 +295,7 @@ def halfline_aps_apply_inverse(d0, f, length, grid_size):
     if not isinstance(d0, BlockHermitian):
         raise ValidationError("halfline inverse expects a BlockHermitian")
     dec = eigh(d0)
-    if np.min(np.abs(dec.eigenvalues)) <= zero_tolerance(dec.op_norm):
+    if dec.kernel_mask().any():
         raise PreconditionError("half-line inverse needs an invertible operator")
     n = d0.model.dim
     f = np.asarray(f, dtype=complex)

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .apsindex import SuspensionProblem, aps_index
+from .apsindex import GEOMETRIES, SCHEMES, SuspensionProblem, aps_index
 from .engines import CHI_PROFILES, sf_appendix, sf_crossing, sf_integral, sf_phillips
 from .errors import NumericError, SfcalcError, ValidationError
-from .generators import (involution_path, random_block_model, random_path,
-                         rng_from_seed, single_crossing_path)
+from .generators import (involution_path, random_path, rng_from_seed,
+                         single_crossing_path)
 from .geometry import standard_metric_paths, trivialized_path, engine_model
 from .path import OperatorPath, flatten_endpoints
 from .tracemodel import AffineSymbol, BlockHermitian, FrequencyModel, WeightedBlockModel
@@ -60,6 +60,19 @@ def _require(cond, message):
         raise ScenarioError(message)
 
 
+def _numbers(obj, *keys):
+    """True when each of ``keys`` is absent from ``obj`` or holds a number."""
+    return all(isinstance(obj[k], (int, float)) for k in keys if k in obj)
+
+
+def _numeric_matrix(entries):
+    """True when ``entries`` is a nested list that reads as a real array."""
+    try:
+        return isinstance(entries, list) and np.asarray(entries, dtype=float).ndim > 0
+    except (TypeError, ValueError):
+        return False
+
+
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,52 +91,86 @@ def validate_scenario(doc):
              f"field 'schema' must equal {SCHEMA_VERSION}")
     _require(isinstance(doc.get("name"), str) and doc["name"],
              "field 'name' must be a nonempty string")
+    _require(doc.get("seed") is None or isinstance(doc["seed"], int),
+             "field 'seed' must be an integer")
     model = doc.get("model")
     _require(isinstance(model, dict) and "type" in model,
              "field 'model' must be an object with a 'type'")
     _require(model["type"] in ("weighted_blocks", "frequency", "circle_metric"),
              f"model.type {model.get('type')!r} unknown")
+    if model["type"] == "weighted_blocks":
+        blocks = model.get("blocks")
+        _require(isinstance(blocks, list) and blocks and all(
+            isinstance(b, list) and len(b) == 2 and isinstance(b[0], int)
+            and isinstance(b[1], (int, float)) for b in blocks),
+            "model.blocks must be a nonempty list of [dim, weight] numbers")
+    _require(_numbers(model, "rho", "xi_max") and isinstance(model.get("n", 16), int)
+             and isinstance(model.get("profile", ""), str),
+             "model.rho, model.xi_max must be numbers, model.n an integer, "
+             "model.profile a name")
     path = doc.get("path")
     _require(isinstance(path, dict) and "type" in path,
              "field 'path' must be an object with a 'type'")
     _require(path["type"] in ("generator", "explicit", "affine_frequency",
                               "metric_path"),
              f"path.type {path.get('type')!r} unknown")
+    _require((model["type"] == "circle_metric") == (path["type"] == "metric_path"),
+             "model.type 'circle_metric' and path.type 'metric_path' go together")
+    _require(_numbers(path, "offset_start", "offset_end")
+             and isinstance(path.get("num_samples", 5), int),
+             "path offsets must be numbers, path.num_samples an integer")
     if path["type"] == "generator":
         _require(path.get("name") in _GENERATORS,
                  f"path.name {path.get('name')!r}: unknown generator")
         if path.get("name").startswith("random"):
             _require(isinstance(doc.get("seed"), int),
                      "random generators require an integer 'seed'")
+        gen_params = path.get("params", {})
+        _require(isinstance(gen_params, dict)
+                 and isinstance(gen_params.get("num_samples", 7), int),
+                 "path.params must be an object, its num_samples an integer")
+    if path["type"] == "explicit":
+        samples = path.get("samples")
+        _require(isinstance(samples, list) and all(
+            isinstance(item, dict) and isinstance(item.get("u"), (int, float))
+            and _numeric_matrix(item.get("matrix")) for item in samples),
+            "path.samples must be a list of {'u': number, 'matrix': numbers}")
     engines = doc.get("engines", [])
     _require(isinstance(engines, list) and all(e in ENGINES for e in engines),
              f"field 'engines' must be a sublist of {ENGINES}")
     params = doc.get("engine_params", {})
-    for s in params.get("s_grid", [1.0]):
-        _require(isinstance(s, (int, float)) and s > 0,
-                 "engine_params.s_grid entries must be positive")
-    for chi in _chi_list(params):
-        _require(chi in CHI_PROFILES,
-                 f"engine_params.chi {chi!r} not a known profile")
+    _require(isinstance(params, dict), "field 'engine_params' must be an object")
+    s_grid = params.get("s_grid", [1.0])
+    _require(isinstance(s_grid, list) and all(
+        isinstance(s, (int, float)) and s > 0 for s in s_grid),
+        "engine_params.s_grid must be a list of positive numbers")
+    _require(isinstance(params.get("chi", []), (str, list)) and all(
+        isinstance(c, str) and c in CHI_PROFILES for c in _chi_list(params)),
+        f"engine_params.chi must name profiles among {sorted(CHI_PROFILES)}")
     window = params.get("window", 0.5)
     _require(isinstance(window, (int, float)) and window > 0,
              "engine_params.window must be positive")
-    depth = params.get("phillips_depth", 20)
-    _require(isinstance(depth, int) and depth >= 1,
-             "engine_params.phillips_depth must be a positive integer")
+    _require(_numbers(params, "min_endpoint_gap"),
+             "engine_params.min_endpoint_gap must be a number")
+    asserts = doc.get("assertions", {})
+    _require(isinstance(asserts, dict) and _numbers(
+        asserts, "pairwise_agreement", "expected_value", "value_tolerance"),
+        "field 'assertions' must be an object with number tolerances")
+    output = doc.get("output", {})
+    _require(isinstance(output, dict) and all(isinstance(v, str) for v in output.values()),
+             "field 'output' must map 'csv' and 'log' to file names")
     aps = doc.get("aps", {})
+    _require(isinstance(aps, dict), "field 'aps' must be an object")
     if aps.get("enabled"):
         _require(isinstance(aps.get("M", 200), int) and aps.get("M", 200) >= 16,
                  "aps.M must be an integer >= 16")
-        _require(aps.get("scheme", "forward-upwind") in ("forward-upwind",
-                                                         "implicit-midpoint"),
-                 "aps.scheme unknown")
-        _require(aps.get("geometry", "interval-APS") in ("interval-APS",
-                                                         "cylinder"),
+        _require(aps.get("scheme", "forward-upwind") in SCHEMES, "aps.scheme unknown")
+        _require(aps.get("geometry", "interval-APS") in GEOMETRIES,
                  "aps.geometry unknown")
         theta = aps.get("theta", 1e-7)
         _require(isinstance(theta, (int, float)) and theta > 0,
                  "aps.theta must be positive")
+        _require(_numbers(aps, "L"), "aps.L must be a number")
 
 
 def _chi_list(params):
@@ -138,8 +185,6 @@ def _build_model(doc):
     cfg = doc["model"]
     kind = cfg["type"]
     if kind == "weighted_blocks":
-        _require(isinstance(cfg.get("blocks"), list) and cfg["blocks"],
-                 "model.blocks must be a nonempty list of [dim, weight]")
         return WeightedBlockModel([(int(n), float(w)) for n, w in cfg["blocks"]])
     if kind == "frequency":
         return FrequencyModel(rho=float(cfg.get("rho", 1.0 / (2 * math.pi))),
@@ -152,7 +197,6 @@ def _build_model(doc):
 
 
 def _decode_matrix(entries, dim):
-    mat = np.zeros((dim, dim), dtype=complex)
     arr = np.asarray(entries, dtype=float)
     _require(arr.shape in ((dim, dim), (dim, dim, 2)),
              f"explicit sample must be {dim}x{dim} (optionally [re, im] pairs)")
@@ -201,8 +245,9 @@ def _build_path(doc, model, seed):
         _require(isinstance(model, WeightedBlockModel),
                  "involution paths need a weighted block model")
         minus = params.get("minus_dims")
-        _require(isinstance(minus, list) and len(minus) == len(model.blocks),
-                 "path.params.minus_dims must list one entry per block")
+        _require(isinstance(minus, list) and len(minus) == len(model.blocks)
+                 and all(isinstance(m, int) for m in minus),
+                 "path.params.minus_dims must list one integer per block")
         rng = rng_from_seed(seed) if seed is not None else None
         path, expected = involution_path(model, [int(m) for m in minus], rng=rng)
         if params.get("flatten", True):
@@ -222,7 +267,7 @@ def _build_path(doc, model, seed):
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_engine(name, path, params, tolerance_scale):
+def _run_engine(name, path, params):
     rows = []
     results = {}
     if name == "crossing":
@@ -233,7 +278,7 @@ def _run_engine(name, path, params, tolerance_scale):
         rows.append(("crossing", "", res.value, 0.0, ms))
     elif name == "phillips":
         t0 = time.perf_counter()
-        res = sf_phillips(path, max_depth=int(params.get("phillips_depth", 20)))
+        res = sf_phillips(path)
         ms = 1000 * (time.perf_counter() - t0)
         results["phillips"] = res
         rows.append(("phillips", "",
@@ -276,7 +321,7 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
     rows = []
     def run_named(name):
         try:
-            return _run_engine(name, path, params, tolerance_scale)
+            return _run_engine(name, path, params)
         except NumericError as exc:
             raise NumericError(f"sf_{name}: {exc}", partial=exc.partial) from exc
 
@@ -348,8 +393,6 @@ def _check_assertions(doc, record, values, tolerance_scale):
 
 
 def _format_value(x):
-    if x == "":
-        return ""
     return repr(float(x))
 
 

@@ -10,7 +10,7 @@ elements:
 * ``sf_appendix``  -- cutoff-function formula for paths of norm at most 1.
 
 All engines share the convention that eigenvalue 0 belongs to the
-nonnegative side, applied through the common kernel-cluster tolerance.
+nonnegative side (:meth:`SpectralDecomposition.nonneg_mask`).
 """
 
 import math
@@ -20,10 +20,11 @@ import numpy as np
 
 from .errors import (DomainError, ModelError, NumericError, PreconditionError,
                      ValidationError)
+from .path import smoothstep
 from .quadrature import adaptive_gauss_legendre
 from .tracemodel import (BlockHermitian, FrequencyModel, FreqSymbol,
                          SpectralDecomposition, WeightedBlockModel, eigh,
-                         trace, zero_tolerance)
+                         trace)
 
 __all__ = ["ChiProfile", "sine_profile", "quintic_profile", "CHI_PROFILES",
            "SpectralFlowResult", "sf_crossing", "sf_phillips",
@@ -32,11 +33,6 @@ __all__ = ["ChiProfile", "sine_profile", "quintic_profile", "CHI_PROFILES",
 
 # ---------------------------------------------------------------------------
 # cutoff profiles for the appendix formula
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-
 
 def _dsmoothstep(t):
     t = np.asarray(t, dtype=float)
@@ -97,7 +93,7 @@ def _with_plateau_tail(core, dcore):
         sgn = np.sign(x)
         out = np.where(ax <= 1.0, core(np.clip(x, -1.0, 1.0)), sgn)
         tail = ax > 1.5
-        out = np.where(tail, sgn * (1.0 - _smoothstep((ax - 1.5) / 1.5)), out)
+        out = np.where(tail, sgn * (1.0 - smoothstep((ax - 1.5) / 1.5)), out)
         return np.where(ax >= 3.0, 0.0, out)
 
     def dchi(x):
@@ -154,14 +150,12 @@ def _finalize(raw, method, model, diagnostics):
     diagnostics["raw"] = float(raw)
     value = float(raw)
     if isinstance(model, WeightedBlockModel):
+        try:
+            value = model.snap(raw)
+        except NumericError as exc:
+            raise NumericError(f"{method}: {exc}", partial=raw) from exc
         step = model.lattice_step()
         if step is not None:
-            snapped = step * round(raw / step)
-            if abs(raw - snapped) > 0.25 * step:
-                raise NumericError(
-                    f"{method}: value {raw!r} is {abs(raw - snapped):.3e} away "
-                    f"from the weight lattice (step {step})", partial=raw)
-            value = snapped
             diagnostics["lattice_step"] = step
     return SpectralFlowResult(value=value, method=method, diagnostics=diagnostics)
 
@@ -169,21 +163,8 @@ def _finalize(raw, method, model, diagnostics):
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _nonneg_weight(dec):
-    """Weighted count of eigenvalues on the nonnegative side (kernel included)."""
-    return dec.weighted_count(dec.eigenvalues >= -zero_tolerance(dec.op_norm))
-
-
-def _kernel_weight(dec):
-    return dec.weighted_count(dec.kernel_mask())
-
-
 def _min_abs_eig(dec):
     return float(np.min(np.abs(dec.eigenvalues)))
-
-
-def _op_norm(op):
-    return float(np.linalg.norm(op.mat, 2))
 
 
 def _refine_block_partition(path, window, max_depth):
@@ -196,7 +177,7 @@ def _refine_block_partition(path, window, max_depth):
     depth = 0
     while True:
         ops = [path.eval(u) for u in us]
-        motions = [_op_norm(BlockHermitian(path.model, ops[j + 1].mat - ops[j].mat))
+        motions = [float(np.linalg.norm(ops[j + 1].mat - ops[j].mat, 2))
                    for j in range(len(us) - 1)]
         bad = [j for j, m in enumerate(motions) if m >= window]
         if not bad:
@@ -210,12 +191,19 @@ def _refine_block_partition(path, window, max_depth):
             us.insert(j + 1, 0.5 * (us[j] + us[j + 1]))
 
 
-def _symbol_roots(path, us):
-    roots = []
-    for u in us:
-        sym = path.eval(u)
-        roots.extend(sym.breakpoints())
-    return roots
+def _spectral_trace(path, us, f):
+    """Weighted trace of (dF/du) f(F) at each parameter in ``us`` of a block
+    path: sum_k w_k f(lambda_k) <v_k, F'(u) v_k> over the eigenpairs of F_u.
+
+    The integrand of both the heat-kernel and the cutoff formula.
+    """
+    out = np.empty(len(us))
+    for i, u in enumerate(us):
+        dec = eigh(path.eval(u))
+        v = dec.eigenvectors
+        diag = np.einsum("ji,jk,ki->i", v.conj(), path.derivative(u).mat, v).real
+        out[i] = np.sum(dec.weights * f(dec.eigenvalues) * diag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +223,7 @@ def sf_crossing(path, window=0.5, max_depth=20):
         raise DomainError("window must be positive")
     us, ops, motions, depth = _refine_block_partition(path, window, max_depth)
     decs = [eigh(op) for op in ops]
-    counts = [_nonneg_weight(d) for d in decs]
+    counts = [d.weighted_count(d.nonneg_mask()) for d in decs]
     steps = [counts[j + 1] - counts[j] for j in range(len(counts) - 1)]
     raw = math.fsum(steps)
     diagnostics = {
@@ -251,21 +239,9 @@ def sf_crossing(path, window=0.5, max_depth=20):
 # ---------------------------------------------------------------------------
 # Phillips engine
 
-def _essential_projection_gap(path):
-    """Norm of consecutive projection differences modulo the trace ideal.
-
-    For both desk-scale models every difference of positive spectral
-    projections along the path lies in the ideal generated by finite-trace
-    elements (finite total trace for block models; compactly supported
-    symbol for the frequency model), so the essential gap vanishes.
-    """
-    return 0.0
-
-
 def _nonneg_projection(dec):
     """Projection onto the nonnegative side, zero cluster included."""
-    mask = dec.eigenvalues >= -zero_tolerance(dec.op_norm)
-    v = dec.eigenvectors[:, mask]
+    v = dec.eigenvectors[:, dec.nonneg_mask()]
     return BlockHermitian(dec.model, v @ v.conj().T)
 
 
@@ -294,26 +270,17 @@ def _ec_frequency(sym_p, sym_q, model, abs_tol):
     return value, err
 
 
-def sf_phillips(path, max_depth=20, abs_tol=1e-10):
+def sf_phillips(path, abs_tol=1e-10):
     """Spectral flow as a sum of relative indices of positive projections.
 
-    Consecutive projections must be close modulo the finite-trace ideal
-    (trivially so for both supported models); ec(P, Q) = tr(Q(1-P)) -
-    tr(P(1-Q)) is then summed over the partition.
+    On both supported models every difference of nonnegative spectral
+    projections along the path has finite trace (finite total trace for
+    block models, compactly supported symbols for the frequency model), so
+    the sample nodes are an admissible partition as they stand;
+    ec(P, Q) = tr(Q(1-P)) - tr(P(1-Q)) is summed over it.
     """
     us = list(path.us)
-    gap = _essential_projection_gap(path)
-    depth = 0
-    while gap > 0.5:  # pragma: no cover - unreachable for supported models
-        depth += 1
-        if depth > max_depth:
-            raise NumericError("projection partition did not refine below 1/2")
-        us = sorted(us + [0.5 * (a + b) for a, b in zip(us[:-1], us[1:])])
-        gap = _essential_projection_gap(path)
-
-    diagnostics = {"refinement_depth": float(depth),
-                   "num_steps": float(len(us) - 1),
-                   "essential_gap": gap}
+    diagnostics = {"num_steps": float(len(us) - 1)}
     if path.is_frequency:
         total = 0.0
         err_total = 0.0
@@ -362,17 +329,8 @@ def eta_truncated(op, s, model=None):
         return value
     dec = op if isinstance(op, SpectralDecomposition) else eigh(op)
     lam = dec.eigenvalues
-    tol = zero_tolerance(dec.op_norm)
-    signs = np.where(np.abs(lam) <= tol, 0.0, np.sign(lam))
+    signs = np.where(dec.kernel_mask(), 0.0, np.sign(lam))
     return float(np.sum(dec.weights * signs * _erfc_array(rs * np.abs(lam))))
-
-
-def _heat_derivative_trace_block(path, u, s):
-    dec = eigh(path.eval(u))
-    dmat = path.derivative(u).mat
-    v = dec.eigenvectors
-    diag = np.einsum("ji,jk,ki->i", v.conj(), dmat, v).real
-    return float(np.sum(dec.weights * np.exp(-s * dec.eigenvalues ** 2) * diag))
 
 
 def _heat_derivative_trace_frequency(path, u, s, model):
@@ -402,40 +360,34 @@ def sf_integral(path, s, quad_tol=1e-8, max_panels=2 ** 14):
         raise DomainError("sf_integral requires s > 0")
     model = path.model
     prefactor = math.sqrt(s / math.pi)
-    nodes = [float(u) for u in path.us[1:-1]]
 
     if path.is_frequency:
-        def g(u_arr):
+        def g(us):
             return np.array([_heat_derivative_trace_frequency(path, float(u), s, model)
-                             for u in np.atleast_1d(u_arr)])
+                             for u in us])
+    else:
+        def g(us):
+            return _spectral_trace(path, us, lambda lam: np.exp(-s * lam ** 2))
+    try:
         integral, quad_err, panels = adaptive_gauss_legendre(
             g, 0.0, 1.0, abs_tol=quad_tol, max_panels=max_panels,
-            breakpoints=nodes)
-        integral *= prefactor
-        quad_err *= prefactor
+            breakpoints=[float(u) for u in path.us[1:-1]])
+    except NumericError as exc:
+        raise NumericError(f"sf_integral: u-quadrature failed ({exc})",
+                           partial=exc.partial) from exc
+    integral *= prefactor
+    quad_err *= prefactor
+    if path.is_frequency:
         eta1 = eta_truncated(path.eval(1.0), s, model=model)
         eta0 = eta_truncated(path.eval(0.0), s, model=model)
         ker1 = ker0 = 0.0  # symbols vanish on measure-zero sets only
     else:
-        def g(u_arr):
-            return np.array([_heat_derivative_trace_block(path, float(u), s)
-                             for u in np.atleast_1d(u_arr)])
-        try:
-            integral, quad_err, panels = adaptive_gauss_legendre(
-                g, 0.0, 1.0, abs_tol=quad_tol, max_panels=max_panels,
-                breakpoints=nodes)
-        except NumericError as exc:
-            raise NumericError(
-                f"sf_integral: u-quadrature failed ({exc})",
-                partial=exc.partial) from exc
-        integral *= prefactor
-        quad_err *= prefactor
         dec0 = eigh(path.eval(0.0))
         dec1 = eigh(path.eval(1.0))
         eta1 = eta_truncated(dec1, s)
         eta0 = eta_truncated(dec0, s)
-        ker1 = _kernel_weight(dec1)
-        ker0 = _kernel_weight(dec0)
+        ker1 = dec1.weighted_count(dec1.kernel_mask())
+        ker0 = dec0.weighted_count(dec0.kernel_mask())
 
     raw = integral + 0.5 * (eta1 - eta0) + 0.5 * (ker1 - ker0)
     diagnostics = {
@@ -487,25 +439,14 @@ def sf_appendix(path, chi, rescale=False, quad_tol=1e-9, max_panels=2 ** 14,
         raise PreconditionError(
             f"endpoint gap {gap:.3e} at or below {min_endpoint_gap:.1e}")
 
-    def g(u_arr):
-        out = []
-        for u in np.atleast_1d(u_arr):
-            dec = eigh(path.eval(float(u)))
-            dmat = path.derivative(float(u)).mat
-            v = dec.eigenvectors
-            diag = np.einsum("ji,jk,ki->i", v.conj(), dmat, v).real
-            out.append(float(np.sum(dec.weights * chi.deriv(dec.eigenvalues) * diag)))
-        return np.array(out)
-
     integral, quad_err, panels = adaptive_gauss_legendre(
-        g, 0.0, 1.0, abs_tol=quad_tol, max_panels=max_panels,
+        lambda us: _spectral_trace(path, us, chi.deriv), 0.0, 1.0,
+        abs_tol=quad_tol, max_panels=max_panels,
         breakpoints=[float(u) for u in path.us[1:-1]])
 
     def endpoint_term(dec):
-        lam = dec.eigenvalues
-        tol = zero_tolerance(dec.op_norm)
-        p = (lam >= -tol).astype(float)
-        return float(np.sum(dec.weights * (2.0 * p - 1.0 - chi(lam))))
+        p = dec.nonneg_mask().astype(float)
+        return float(np.sum(dec.weights * (2.0 * p - 1.0 - chi(dec.eigenvalues))))
 
     raw = 0.5 * integral + 0.5 * endpoint_term(dec1) - 0.5 * endpoint_term(dec0)
     diagnostics = {
@@ -538,8 +479,7 @@ def cg_bound(op, s):
     dec = op if isinstance(op, SpectralDecomposition) else eigh(op)
     lam = dec.eigenvalues
     w = dec.weights
-    tol = zero_tolerance(dec.op_norm)
-    nonkernel = np.abs(lam) > tol
+    nonkernel = ~dec.kernel_mask()
     lhs = math.sqrt(s) * float(np.sum(
         w[nonkernel] * np.abs(lam[nonkernel])
         * np.exp(-s * lam[nonkernel] ** 2)))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .path import OperatorPath, concatenate, flatten_endpoints
-from .tracemodel import BlockHermitian, WeightedBlockModel, eigh
+from .tracemodel import BlockHermitian, WeightedBlockModel, apply_function, eigh
 
 __all__ = ["rng_from_seed", "random_block_model", "random_hermitian",
            "random_path", "single_crossing_path", "scalar_linear_path",
@@ -42,12 +42,8 @@ def random_hermitian(rng, model, scale=1.0):
 
 def _push_away_from_zero(op, gap):
     """Shift eigenvalues off the kernel so the operator is gap-invertible."""
-    dec = eigh(op)
-    lam = dec.eigenvalues
-    signs = np.where(lam >= 0, 1.0, -1.0)
-    pushed = np.where(np.abs(lam) < gap, signs * gap, lam)
-    v = dec.eigenvectors
-    return BlockHermitian(op.model, (v * pushed) @ v.conj().T)
+    return apply_function(eigh(op), lambda lam: np.where(
+        np.abs(lam) < gap, np.where(lam >= 0, 1.0, -1.0) * gap, lam))
 
 
 def random_path(rng, model, num_samples=9, scale=1.5, wiggle=0.6,

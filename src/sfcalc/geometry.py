@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import (CHI_PROFILES, cg_bound, sf_appendix, sf_crossing,
-                      sf_integral, sf_phillips)
+from .engines import (CHI_PROFILES, _nonneg_projection, cg_bound, sf_appendix,
+                      sf_crossing, sf_integral, sf_phillips)
 from .errors import DomainError, ValidationError
-from .path import OperatorPath
+from .path import OperatorPath, flat_profile, hermite, hermite_tangents
 from .tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
                          IndicatorSymbol, WeightedBlockModel, eigh,
-                         freq_trace, zero_tolerance)
+                         freq_trace)
 
 __all__ = ["CircleMetricPath", "SignatureOperator", "build_signature",
            "trivialization", "trivialized_path", "signature_flow_scenario",
@@ -99,49 +99,19 @@ class CircleMetricPath:
         grid, basis = _fourier_basis(n)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_tangents", self._build_tangents())
+        object.__setattr__(self, "_tangents", hermite_tangents(us, coeffs))
         for u in np.linspace(0.0, 1.0, 4 * us.size + 1):
             h = self.h_grid(float(u))
             if h.min() < self.h_min:
                 raise ValidationError(
                     f"conformal factor dips to {h.min():.3e} at u={u:.3f}")
 
-    def _build_tangents(self):
-        us, c = self.u_samples, self.coeff_samples
-        t = np.empty_like(c)
-        for j in range(us.size):
-            if j == 0:
-                h0, h1 = us[1] - us[0], us[2] - us[1]
-                t[0] = (-(2 * h0 + h1) / (h0 * (h0 + h1)) * c[0]
-                        + (h0 + h1) / (h0 * h1) * c[1]
-                        - h0 / (h1 * (h0 + h1)) * c[2])
-            elif j == us.size - 1:
-                h0, h1 = us[-2] - us[-3], us[-1] - us[-2]
-                t[-1] = (h1 / (h0 * (h0 + h1)) * c[-3]
-                         - (h0 + h1) / (h0 * h1) * c[-2]
-                         + (2 * h1 + h0) / (h1 * (h0 + h1)) * c[-1])
-            else:
-                ha, hb = us[j] - us[j - 1], us[j + 1] - us[j]
-                t[j] = (-hb / (ha * (ha + hb)) * c[j - 1]
-                        + (hb - ha) / (ha * hb) * c[j]
-                        + ha / (hb * (ha + hb)) * c[j + 1])
-        return t
-
     def coefficients(self, u):
         u = float(u)
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"metric parameter {u} outside [0, 1]")
-        us = self.u_samples
-        j = min(max(int(np.searchsorted(us, u, side="right")) - 1, 0), us.size - 2)
-        h = us[j + 1] - us[j]
-        t = (u - us[j]) / h
-        p0, p1 = self.coeff_samples[j], self.coeff_samples[j + 1]
-        m0, m1 = self._tangents[j] * h, self._tangents[j + 1] * h
-        h00 = 2 * t ** 3 - 3 * t ** 2 + 1
-        h10 = t ** 3 - 2 * t ** 2 + t
-        h01 = -2 * t ** 3 + 3 * t ** 2
-        h11 = t ** 3 - t ** 2
-        return h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
+        value, _ = hermite(self.u_samples, self.coeff_samples, self._tangents, u)
+        return value
 
     def h_grid(self, u):
         return self._basis @ self.coefficients(u)
@@ -149,8 +119,6 @@ class CircleMetricPath:
 
 def _metric_from_profile(n, num_samples, coeff_fn, margin=0.15):
     """Sample a metric path, time-warped so it is flat near the endpoints."""
-    from .path import flat_profile
-
     ts = np.linspace(0.0, 1.0, num_samples)
     coeffs = np.stack([coeff_fn(float(flat_profile(t, margin))) for t in ts])
     return CircleMetricPath(ts, coeffs, n)
@@ -306,12 +274,7 @@ def _conjugation_residual(metric, u, s, model, delta=1e-3):
     for k in (-2, -1, 1, 2):
         v = u + k * delta
         b_probe.append(_engine_operator(metric, v, model).mat)
-        d0, d1, _, _, _, _ = _degree_pieces(metric, v)
-        m = metric.n + 1
-        dm = np.zeros((2 * m, 2 * m), dtype=complex)
-        dm[:m, :m] = d0
-        dm[m:, m:] = d1
-        d_probe.append(dm)
+        d_probe.append(build_signature(metric, v).matrix)
     db = _fd4(b_probe, delta)
     dd = _fd4(d_probe, delta)
 
@@ -328,10 +291,6 @@ def _conjugation_residual(metric, u, s, model, delta=1e-3):
     tr_b = complex(np.trace(db @ heat)).real
     tr_d = complex(np.trace(mixed @ heat)).real
     return abs(tr_b - tr_d), tr_b
-
-
-def _kernel_trace(dec):
-    return float(np.sum(dec.weights[dec.kernel_mask()]))
 
 
 def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral", "appendix"),
@@ -365,16 +324,10 @@ def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral",
     report["aps_index"] = aps_index(prob)
 
     decs = [eigh(path.sample(j)) for j in range(len(path.us))]
-    report["kernel_traces"] = [_kernel_trace(d) for d in decs]
-
-    def nonneg_proj(dec):
-        v = dec.eigenvectors[:, dec.eigenvalues >= -zero_tolerance(dec.op_norm)]
-        return v @ v.conj().T
-
-    jumps = []
-    for a, b in zip(decs[:-1], decs[1:]):
-        jumps.append(float(np.linalg.norm(nonneg_proj(b) - nonneg_proj(a), 2)))
-    report["projection_jumps"] = jumps
+    report["kernel_traces"] = [d.weighted_count(d.kernel_mask()) for d in decs]
+    report["projection_jumps"] = [
+        float(np.linalg.norm(_nonneg_projection(b).mat - _nonneg_projection(a).mat, 2))
+        for a, b in zip(decs[:-1], decs[1:])]
 
     probe_us = np.linspace(0.25, 0.75, num_cg_points)
     residuals = []

@@ -1,9 +1,9 @@
 """Cyclic Jacobi eigensolver for complex Hermitian matrices.
 
-Portable reference backend: fixed (p, q) sweep order, so the output is a
-deterministic function of the input bytes.  The LAPACK-backed path in
-:mod:`sfcalc.tracemodel` is the default for speed; this implementation is
-kept behind the same contract and cross-validated in the test suite.
+Portable reference implementation: fixed (p, q) sweep order, so the output
+is a deterministic function of the input bytes.  No library caller selects
+it; :func:`sfcalc.tracemodel.eigh` always uses LAPACK, and the test suite
+checks that against this solver block by block.
 """
 
 import numpy as np

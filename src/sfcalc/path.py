@@ -3,8 +3,9 @@
 An :class:`OperatorPath` samples a family u -> F_u on [0, 1] and provides
 interpolation, differentiation, concatenation and unitary conjugation.
 Samples are either :class:`~sfcalc.tracemodel.BlockHermitian` elements or
-frequency-model symbols; interpolation is entrywise (resp. pointwise), so
-Hermiticity is preserved by construction.
+frequency-model symbols; interpolation is entrywise (resp. pointwise) with
+real coefficients, so interpolated values and derivatives are exactly
+Hermitian and block-diagonal and are not validated again.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from .tracemodel import (BlockHermitian, FreqSymbol, FrequencyModel,
 
 __all__ = ["OperatorPath", "concatenate", "conjugate", "reverse",
            "direct_sum", "flatten_endpoints", "reparametrize",
-           "smoothstep", "flat_profile"]
+           "smoothstep", "flat_profile", "hermite_tangents", "hermite"]
 
 
 def smoothstep(t):
@@ -28,6 +29,58 @@ def flat_profile(t, margin=0.15):
     """Time warp [0,1] -> [0,1], constant on [0, margin] and [1-margin, 1]."""
     t = np.asarray(t, dtype=float)
     return smoothstep((t - margin) / (1.0 - 2.0 * margin))
+
+
+def _segment(us, u):
+    """Index j of the node interval [us[j], us[j+1]] holding u, using the
+    right-derivative convention at interior nodes."""
+    j = int(np.searchsorted(us, u, side="right")) - 1
+    return min(max(j, 0), len(us) - 2)
+
+
+def hermite_tangents(us, values):
+    """Node tangents for C^1 cubic Hermite interpolation of ``values``
+    (stacked along the first axis): three-point differences inside,
+    second-order one-sided differences at both ends."""
+    m = values
+    tangents = np.empty_like(m)
+    for j in range(len(us)):
+        if j == 0:
+            h0, h1 = us[1] - us[0], us[2] - us[1]
+            tangents[0] = (-(2 * h0 + h1) / (h0 * (h0 + h1)) * m[0]
+                           + (h0 + h1) / (h0 * h1) * m[1]
+                           - h0 / (h1 * (h0 + h1)) * m[2])
+        elif j == len(us) - 1:
+            h0, h1 = us[-2] - us[-3], us[-1] - us[-2]
+            tangents[-1] = (h1 / (h0 * (h0 + h1)) * m[-3]
+                            - (h0 + h1) / (h0 * h1) * m[-2]
+                            + (2 * h1 + h0) / (h1 * (h0 + h1)) * m[-1])
+        else:
+            ha, hb = us[j] - us[j - 1], us[j + 1] - us[j]
+            tangents[j] = (-hb / (ha * (ha + hb)) * m[j - 1]
+                           + (hb - ha) / (ha * hb) * m[j]
+                           + ha / (hb * (ha + hb)) * m[j + 1])
+    return tangents
+
+
+def hermite(us, values, tangents, u):
+    """The cubic Hermite interpolant and its u-derivative at u."""
+    j = _segment(us, u)
+    h = us[j + 1] - us[j]
+    t = (u - us[j]) / h
+    p0, p1 = values[j], values[j + 1]
+    m0, m1 = tangents[j] * h, tangents[j + 1] * h
+    h00 = 2 * t ** 3 - 3 * t ** 2 + 1
+    h10 = t ** 3 - 2 * t ** 2 + t
+    h01 = -2 * t ** 3 + 3 * t ** 2
+    h11 = t ** 3 - t ** 2
+    dh00 = 6 * t ** 2 - 6 * t
+    dh10 = 3 * t ** 2 - 4 * t + 1
+    dh01 = -6 * t ** 2 + 6 * t
+    dh11 = 3 * t ** 2 - 2 * t
+    value = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
+    slope = (dh00 * p0 + dh10 * m0 + dh01 * p1 + dh11 * m1) / h
+    return value, slope
 
 
 class OperatorPath:
@@ -70,7 +123,7 @@ class OperatorPath:
             self._stack = np.stack(mats)
             self._symbols = None
             if interpolation == "cubic":
-                self._tangents = self._cubic_tangents()
+                self._tangents = hermite_tangents(us, self._stack)
         else:
             raise ValidationError("unsupported model type")
 
@@ -93,7 +146,7 @@ class OperatorPath:
     def sample(self, j):
         if self.is_frequency:
             return self._symbols[j]
-        return BlockHermitian(self.model, self._stack[j])
+        return BlockHermitian._trusted(self.model, self._stack[j])
 
     def _samples_equal(self, i, j, tol=1e-12):
         if self.is_frequency:
@@ -103,81 +156,38 @@ class OperatorPath:
         scale = max(1.0, np.abs(self._stack).max())
         return np.abs(self._stack[i] - self._stack[j]).max() <= tol * scale
 
-    def _segment(self, u):
-        """Segment index for u, using the right-derivative convention at nodes."""
-        j = int(np.searchsorted(self.us, u, side="right")) - 1
-        return min(max(j, 0), len(self.us) - 2)
-
-    def _cubic_tangents(self):
-        m = self._stack
-        us = self.us
-        tangents = np.empty_like(m)
-        for j in range(len(us)):
-            if j == 0:
-                h0, h1 = us[1] - us[0], us[2] - us[1]
-                # second-order one-sided difference
-                tangents[0] = (-(2 * h0 + h1) / (h0 * (h0 + h1)) * m[0]
-                               + (h0 + h1) / (h0 * h1) * m[1]
-                               - h0 / (h1 * (h0 + h1)) * m[2])
-            elif j == len(us) - 1:
-                h0, h1 = us[-2] - us[-3], us[-1] - us[-2]
-                tangents[-1] = (h1 / (h0 * (h0 + h1)) * m[-3]
-                                - (h0 + h1) / (h0 * h1) * m[-2]
-                                + (2 * h1 + h0) / (h1 * (h0 + h1)) * m[-1])
-            else:
-                ha, hb = us[j] - us[j - 1], us[j + 1] - us[j]
-                tangents[j] = (-hb / (ha * (ha + hb)) * m[j - 1]
-                               + (hb - ha) / (ha * hb) * m[j]
-                               + ha / (hb * (ha + hb)) * m[j + 1])
-        return tangents
-
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, u):
         u = float(u)
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"path parameter {u} outside [0, 1]")
-        j = self._segment(u)
-        h = self.us[j + 1] - self.us[j]
-        t = (u - self.us[j]) / h
+        if self.interpolation == "cubic":
+            mat, _ = hermite(self.us, self._stack, self._tangents, u)
+            return BlockHermitian._trusted(self.model, mat)
+        j = _segment(self.us, u)
+        t = (u - self.us[j]) / (self.us[j + 1] - self.us[j])
         if self.is_frequency:
             if t == 0.0:
                 return self._symbols[j]
             if t == 1.0:
                 return self._symbols[j + 1]
             return self._symbols[j].lerp(self._symbols[j + 1], t)
-        if self.interpolation == "linear":
-            mat = (1.0 - t) * self._stack[j] + t * self._stack[j + 1]
-        else:
-            p0, p1 = self._stack[j], self._stack[j + 1]
-            m0, m1 = self._tangents[j] * h, self._tangents[j + 1] * h
-            h00 = 2 * t ** 3 - 3 * t ** 2 + 1
-            h10 = t ** 3 - 2 * t ** 2 + t
-            h01 = -2 * t ** 3 + 3 * t ** 2
-            h11 = t ** 3 - t ** 2
-            mat = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
-        return BlockHermitian(self.model, mat)
+        mat = (1.0 - t) * self._stack[j] + t * self._stack[j + 1]
+        return BlockHermitian._trusted(self.model, mat)
 
     def derivative(self, u):
         u = float(u)
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"path parameter {u} outside [0, 1]")
-        j = self._segment(u)
+        if self.interpolation == "cubic":
+            _, mat = hermite(self.us, self._stack, self._tangents, u)
+            return BlockHermitian._trusted(self.model, mat)
+        j = _segment(self.us, u)
         h = self.us[j + 1] - self.us[j]
         if self.is_frequency:
             return self._symbols[j].diff_quotient(self._symbols[j + 1], h)
-        if self.interpolation == "linear":
-            mat = (self._stack[j + 1] - self._stack[j]) / h
-        else:
-            t = (u - self.us[j]) / h
-            p0, p1 = self._stack[j], self._stack[j + 1]
-            m0, m1 = self._tangents[j] * h, self._tangents[j + 1] * h
-            dh00 = 6 * t ** 2 - 6 * t
-            dh10 = 3 * t ** 2 - 4 * t + 1
-            dh01 = -6 * t ** 2 + 6 * t
-            dh11 = 3 * t ** 2 - 2 * t
-            mat = (dh00 * p0 + dh10 * m0 + dh01 * p1 + dh11 * m1) / h
-        return BlockHermitian(self.model, 0.5 * (mat + mat.conj().T))
+        return BlockHermitian._trusted(self.model, (self._stack[j + 1] - self._stack[j]) / h)
 
     def with_samples(self, new_samples, endpoint_flat=None):
         return OperatorPath(

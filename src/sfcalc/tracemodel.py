@@ -15,12 +15,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ModelError, NumericError, ValidationError
-from .jacobi import jacobi_eigh
 from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
@@ -113,10 +111,6 @@ class WeightedBlockModel:
         return slices
 
     @property
-    def weight_vector(self):
-        return np.concatenate([np.full(n, w) for n, w in self.blocks])
-
-    @property
     def trace_identity(self):
         return float(sum(n * w for n, w in self.blocks))
 
@@ -125,9 +119,6 @@ class WeightedBlockModel:
 
     def zero(self):
         return BlockHermitian(self, np.zeros((self.dim, self.dim), dtype=complex))
-
-    def hermitian(self, mat):
-        return BlockHermitian(self, mat)
 
     def direct_sum(self, other):
         return WeightedBlockModel(self.blocks + other.blocks)
@@ -153,13 +144,37 @@ class WeightedBlockModel:
                          q.denominator * f.denominator)
         return float(q)
 
+    def snap(self, raw):
+        """Round ``raw`` to the weight lattice of :meth:`lattice_step`.
+
+        Spectral flows and indices on this model are integer combinations of
+        the weights, so they must land within a quarter step of the lattice;
+        values are returned unchanged when the weights share no small
+        rational step.
+        """
+        step = self.lattice_step()
+        if step is None:
+            return float(raw)
+        snapped = step * round(raw / step)
+        if abs(raw - snapped) > 0.25 * step:
+            raise NumericError(
+                f"value {raw!r} is {abs(raw - snapped):.3e} away "
+                f"from the weight lattice (step {step})", partial=raw)
+        return snapped
+
     def __repr__(self):
         return f"WeightedBlockModel({list(self.blocks)})"
 
 
 @dataclass(frozen=True, eq=False)
 class BlockHermitian:
-    """Hermitian block-diagonal element of a :class:`WeightedBlockModel`."""
+    """Hermitian block-diagonal element of a :class:`WeightedBlockModel`.
+
+    The constructor validates its input: shape, Hermiticity and vanishing
+    off-block entries, up to roundoff, and stores the symmetrized matrix.
+    Values the library builds exactly Hermitian and block-diagonal (path
+    interpolation, sums, differences, real multiples) skip the checks.
+    """
 
     model: WeightedBlockModel
     mat: np.ndarray = field(repr=False)
@@ -188,20 +203,30 @@ class BlockHermitian:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "mat", clean)
 
+    @classmethod
+    def _trusted(cls, model, mat):
+        """Wrap a matrix that is exactly Hermitian and block-diagonal by
+        construction, without the constructor's checks."""
+        op = object.__new__(cls)
+        mat.setflags(write=False)
+        object.__setattr__(op, "model", model)
+        object.__setattr__(op, "mat", mat)
+        return op
+
     def block(self, i):
         sl = self.model.block_slices[i]
         return self.mat[sl, sl]
 
     def __add__(self, other):
         self._check_model(other)
-        return BlockHermitian(self.model, self.mat + other.mat)
+        return BlockHermitian._trusted(self.model, self.mat + other.mat)
 
     def __sub__(self, other):
         self._check_model(other)
-        return BlockHermitian(self.model, self.mat - other.mat)
+        return BlockHermitian._trusted(self.model, self.mat - other.mat)
 
     def __mul__(self, scalar):
-        return BlockHermitian(self.model, self.mat * float(scalar))
+        return BlockHermitian._trusted(self.model, self.mat * float(scalar))
 
     __rmul__ = __mul__
 
@@ -236,8 +261,6 @@ class SpectralDecomposition:
 
     @property
     def op_norm(self):
-        if self.eigenvalues.size == 0:
-            return 0.0
         return float(np.max(np.abs(self.eigenvalues)))
 
     def reconstruct(self):
@@ -252,41 +275,21 @@ class SpectralDecomposition:
             tol = zero_tolerance(self.op_norm)
         return np.abs(self.eigenvalues) <= tol
 
-    def clusters(self, tol=None):
-        """Indices grouped into near-degenerate clusters."""
-        if tol is None:
-            tol = zero_tolerance(self.op_norm)
-        groups = []
-        current = [0]
-        lam = self.eigenvalues
-        for k in range(1, lam.size):
-            if lam[k] - lam[k - 1] <= tol:
-                current.append(k)
-            else:
-                groups.append(current)
-                current = [k]
-        groups.append(current)
-        return groups
+    def nonneg_mask(self):
+        """Eigenvalues on the nonnegative side, the kernel cluster included.
+
+        This is the library's one convention for eigenvalue 0: it counts as
+        nonnegative, with the kernel tolerance of :func:`zero_tolerance`.
+        """
+        return self.eigenvalues >= -zero_tolerance(self.op_norm)
 
 
-def _canonical_phases(vecs):
-    """Rotate each column so its largest-modulus entry is real positive."""
-    out = np.array(vecs, dtype=complex)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
+def eigh(op):
+    """Blockwise Hermitian eigendecomposition by LAPACK.
 
-
-def eigh(op, backend="lapack"):
-    """Blockwise Hermitian eigendecomposition.
-
-    ``backend`` is ``"lapack"`` (default) or ``"jacobi"`` (in-tree cyclic
-    Jacobi sweeps).  Both are deterministic for identical input; degenerate
-    subspaces are canonicalized by a fixed phase convention.
+    Deterministic for identical input.  Eigenvector phases are whatever
+    LAPACK returns; every consumer in the library is phase-invariant
+    (projections, traces, reconstructions, singular values).
     """
     if not isinstance(op, BlockHermitian):
         raise ValidationError("eigh expects a BlockHermitian")
@@ -298,13 +301,7 @@ def eigh(op, backend="lapack"):
     all_block = np.empty(n, dtype=int)
     pos = 0
     for b, ((nb, w), sl) in enumerate(zip(model.blocks, model.block_slices)):
-        block = op.mat[sl, sl]
-        if backend == "jacobi":
-            vals, vecs = jacobi_eigh(block)
-        elif backend == "lapack":
-            vals, vecs = np.linalg.eigh(block)
-        else:
-            raise ValidationError(f"unknown eigh backend {backend!r}")
+        vals, vecs = np.linalg.eigh(op.mat[sl, sl])
         all_vals[pos:pos + nb] = vals
         all_vecs[sl, pos:pos + nb] = vecs
         all_weights[pos:pos + nb] = w
@@ -314,7 +311,7 @@ def eigh(op, backend="lapack"):
     dec = SpectralDecomposition(
         model=model,
         eigenvalues=all_vals[order],
-        eigenvectors=_canonical_phases(all_vecs[:, order]),
+        eigenvectors=all_vecs[:, order],
         weights=all_weights[order],
         block_index=all_block[order],
     )
@@ -334,8 +331,6 @@ def spectral_projection(dec, interval):
     """
     if not isinstance(dec, SpectralDecomposition):
         raise ValidationError("spectral_projection expects a SpectralDecomposition")
-    if dec.eigenvalues.size == 0:
-        raise ValidationError("empty model")
     tol = zero_tolerance(dec.op_norm)
     lam = dec.eigenvalues
     for endpoint in (interval.lo, interval.hi):
@@ -514,12 +509,9 @@ def freq_trace(model, symbol, support_hint=None, abs_tol=1e-10):
     cuts = set(edges[1:-1])
     if isinstance(symbol, FreqSymbol):
         cuts.update(p for p in symbol.breakpoints() if lo < p < hi)
-        fn = symbol
-    else:
-        fn = symbol
 
     def integrand(xi):
-        return np.asarray(fn(xi), dtype=float) * model.rho_values(xi)
+        return np.asarray(symbol(xi), dtype=float) * model.rho_values(xi)
 
     value, _, _ = adaptive_gauss_legendre(
         integrand, lo, hi, abs_tol=abs_tol, breakpoints=sorted(cuts))

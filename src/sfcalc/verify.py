@@ -7,8 +7,6 @@ Seeds are fixed so results are reproducible.
 
 import time
 
-import numpy as np
-
 from .apsindex import SuspensionProblem, aps_index
 from .engines import CHI_PROFILES, sf_appendix, sf_crossing, sf_integral, sf_phillips
 from .generators import random_block_model, random_path, rng_from_seed

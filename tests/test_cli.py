@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sfcalc
 from sfcalc.cli import (_scenario_dir, list_scenarios, load_scenario, main,
                         run_scenario, ScenarioError)
 
@@ -160,3 +163,52 @@ def test_run_record_agreement_antisymmetric(tmp_path):
     for (a, b), d in seen.items():
         assert (b, a) not in seen  # upper triangle only
     assert all(abs(d) < 1e-9 for d in seen.values())
+
+
+def test_index_matches_flow_on_non_dyadic_weights(tmp_path):
+    # 0.3 * 1 and the crossing value 0.1 * round(3.0000000000000004) differ
+    # in the last bit unless the index is snapped to the weight lattice too
+    doc = json.load(open(bundled("involution_norm.json")))
+    doc["name"] = "non_dyadic"
+    doc["model"]["blocks"] = [[1, 0.3], [1, 0.1]]
+    doc["path"]["params"]["minus_dims"] = [1, 0]
+    doc["engines"] = ["crossing"]
+    doc["assertions"] = {"aps_matches_crossing": True}
+    scen = tmp_path / "non_dyadic.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["run", str(scen), "--out", str(tmp_path)]) == 0
+
+
+def _set_path(doc, key, value):
+    *parents, last = key.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[last] = value
+
+
+@pytest.mark.parametrize("key, value", [
+    ("path.type", "metric_path"),
+    ("engine_params", [0.5, 2.0]),
+    ("aps", [True]),
+    ("model.blocks", [[2, "x"], [3, 0.5], [2, 0.25]]),
+    ("engine_params.chi", 3),
+    ("path", {"type": "explicit", "samples": [{"u": 0.0, "matrix": [["x"]]}]}),
+    ("model", {"type": "circle_metric", "n": 8}),
+], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
+        "weight-string", "chi-int", "explicit-matrix-string",
+        "circle-metric-without-metric-path"])
+def test_malformed_scenario_exits_2_without_traceback(tmp_path, key, value):
+    doc = json.load(open(bundled("random_agreement.json")))
+    _set_path(doc, key, value)
+    scen = tmp_path / "malformed.json"
+    scen.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(sfcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfcalc", "run", str(scen), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("scenario error:")

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfcalc.engines import sf_crossing
 from sfcalc.errors import DomainError, ValidationError
-from sfcalc.generators import (random_block_model, random_path,
-                               random_unitary_path, rng_from_seed,
-                               scalar_linear_path)
+from sfcalc.generators import (random_block_model, random_hermitian,
+                               random_path, random_unitary_path,
+                               rng_from_seed, scalar_linear_path)
 from sfcalc.path import (OperatorPath, concatenate, conjugate, direct_sum,
                          flatten_endpoints, reverse)
 from sfcalc.tracemodel import BlockHermitian, WeightedBlockModel, eigh
@@ -187,3 +189,25 @@ def test_flatten_endpoints_marks_flat():
     assert np.array_equal(flat.sample(0).mat, flat.sample(1).mat)
     assert flat.eval(0.0).mat[0, 0].real == -1.0
     assert flat.eval(1.0).mat[0, 0].real == 1.0
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["linear", "cubic"]))
+@settings(max_examples=30, deadline=None)
+def test_eval_and_derivative_exactly_hermitian_block_diagonal(seed, interpolation):
+    # eval and derivative skip BlockHermitian's checks: interpolation with
+    # real coefficients must keep their values exactly Hermitian, with exact
+    # zeros off the blocks, at nodes, between nodes and at both ends
+    rng = rng_from_seed(seed)
+    model = random_block_model(rng)
+    inner = np.unique(rng.uniform(0.05, 0.95, size=int(rng.integers(1, 6))))
+    us = np.concatenate([[0.0], inner, [1.0]])
+    path = OperatorPath(model, [(float(u), random_hermitian(rng, model, 2.0))
+                                for u in us], interpolation=interpolation)
+    off_block = np.ones((model.dim, model.dim), dtype=bool)
+    for sl in model.block_slices:
+        off_block[sl, sl] = False
+    probes = np.concatenate([us, 0.5 * (us[:-1] + us[1:]), rng.uniform(size=5)])
+    for u in probes:
+        for op in (path.eval(u), path.derivative(u)):
+            assert np.array_equal(op.mat, op.mat.conj().T), (u, interpolation)
+            assert not op.mat[off_block].any(), (u, interpolation)
