@@ -8,12 +8,13 @@ from singular values, per ambient block, and weighted by the block traces.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ValidationError
-from .path import OperatorPath, smoothstep
+from .path import OperatorPath
 from .tracemodel import (BlockHermitian, Interval, WeightedBlockModel, eigh,
                          spectral_projection)
 
@@ -41,7 +42,6 @@ class SuspensionProblem:
     geometry: str = "interval-APS"
     cylinder_length: float = None
     kernel_threshold: float = 1e-7
-    endpoint_regularize: bool = False
 
     def __post_init__(self):
         if not isinstance(self.path.model, WeightedBlockModel):
@@ -57,136 +57,122 @@ class SuspensionProblem:
         if self.geometry == "interval-APS" and not self.path.endpoint_flat:
             raise ValidationError("interval-APS requires an endpoint-flat path")
         if self.geometry == "cylinder":
-            gap = _endpoint_gap(self.effective_path())
+            gap = _endpoint_gap([eigh(self.path.eval(u)) for u in (0.0, 1.0)])
             if gap <= 1e-8:
                 raise ValidationError(
                     f"cylinder geometry needs invertible endpoints (gap {gap:.3e})")
 
-    def effective_path(self):
-        if self.endpoint_regularize:
-            return _regularize_endpoints(self.path)
-        return self.path
+
+def _endpoint_gap(decs):
+    """Smallest eigenvalue modulus of the endpoint operators."""
+    return min(float(np.min(np.abs(dec.eigenvalues))) for dec in decs)
 
 
-def _endpoint_gap(path):
-    """Smallest eigenvalue modulus of the two endpoint operators."""
-    return min(float(np.min(np.abs(eigh(path.eval(u)).eigenvalues)))
-               for u in (0.0, 1.0))
+def _grid(prob, decs):
+    """Node parameter values; cylinder nodes run beyond [0, 1].
 
-
-def _regularize_endpoints(path):
-    """Shift the unit-window spectral parts of the endpoint operators.
-
-    Adds phi(u) (1_[0,1](D_0) - 1_[-1,0)(D_0)) + (1 - phi(u)) (same for D_1)
-    with a ramp phi supported away from u = 1 and 1 - phi away from u = 0;
-    the endpoints become invertible while their nonnegative projections are
-    unchanged.
+    A grid whose largest dense block would not fit in physical memory is
+    refused before it is built: the kernel check holds A_b, A_adj_b and the
+    SVD's working copy, each at most (K d) x ((K + 1) d) complex entries for
+    K intervals and block dimension d.
     """
-    model = path.model
-    dec0 = eigh(path.eval(0.0))
-    dec1 = eigh(path.eval(1.0))
-
-    def shift_op(dec):
-        pos = spectral_projection(dec, Interval(0.0, 1.0)).mat
-        neg = spectral_projection(dec, Interval(-1.0, 0.0, closed_hi=False)).mat
-        return pos - neg
-
-    s0 = shift_op(dec0)
-    s1 = shift_op(dec1)
-
-    def phi(u):
-        return 1.0 - smoothstep((u - 0.25) * 2.0)
-
-    samples = []
-    for j, u in enumerate(path.us):
-        mat = path.sample(j).mat + phi(u) * s0 + (1.0 - phi(u)) * s1
-        samples.append((float(u), BlockHermitian(model, mat)))
-    return OperatorPath(model, samples, interpolation=path.interpolation,
-                        endpoint_flat=path.endpoint_flat)
-
-
-def _grid(prob, path):
-    """Node parameter values; cylinder nodes run beyond [0, 1]."""
     m = prob.grid_size
-    if prob.geometry == "interval-APS":
+    steps = 0
+    if prob.geometry == "cylinder":
+        length = prob.cylinder_length
+        if length is None:
+            length = 4.0 / _endpoint_gap(decs)
+        steps = max(1, math.ceil(float(length) * m))
+    d = max(n for n, _ in prob.path.model.blocks)
+    rows, cols = (m + 2 * steps) * d, (m + 2 * steps + 1) * d
+    need = 3 * 16 * rows * cols
+    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+              if hasattr(os, "sysconf") else math.inf)
+    if need > memory:
+        raise PreconditionError(
+            f"the index needs dense {rows} x {cols} complex matrices, "
+            f"{need / 2 ** 30:.1f} GiB against {memory / 2 ** 30:.1f} GiB of "
+            "physical memory; reduce the grid size or the cylinder length")
+    if steps == 0:
         return np.linspace(0.0, 1.0, m + 1)
-    if prob.cylinder_length is not None:
-        length = float(prob.cylinder_length)
-    else:
-        length = 4.0 / _endpoint_gap(path)
-    steps = max(1, math.ceil(length * m))
     return np.arange(-steps, m + steps + 1) / m
 
 
-def _eval_clamped(path, v):
-    return path.eval(min(max(float(v), 0.0), 1.0))
+def _boundary_bases(dec, block_index, block_slice):
+    """Orthonormal bases (negative side, nonnegative side) of one block's
+    components at a boundary node."""
+    own = dec.block_index == block_index
+    vecs = dec.eigenvectors[block_slice, :][:, own]
+    nonneg = dec.nonneg_mask()[own]
+    return vecs[:, ~nonneg], vecs[:, nonneg]
 
 
-def _boundary_basis(dec, block_index, block_slice, side):
-    """Orthonormal basis of the unconstrained components at a boundary node.
+def _fill(dm, h, sign, q_first, q_last):
+    """Block-bidiagonal matrix of sign * d/du + D on one block.
 
-    ``side`` is "neg" (eigenvalues below the kernel cluster) or "nonneg".
+    ``dm`` stacks the block of D on each grid interval.  Row block j couples
+    node j (coefficient sign * (-I/h) + D_j / 2) with node j + 1
+    (sign * (I/h) + D_j / 2); the boundary nodes carry the bases ``q_first``
+    and ``q_last``, interior nodes all d components.
     """
-    nonneg = dec.nonneg_mask()
-    mask = (dec.block_index == block_index) & (nonneg if side == "nonneg" else ~nonneg)
-    return dec.eigenvectors[block_slice, :][:, mask]
-
-
-def _assemble_block(prob, path, block_index, kind):
-    """Rectangular matrix of the suspension operator restricted to one block.
-
-    ``kind`` is "direct" (d/du + D, APS conditions) or "adjoint"
-    (-d/du + D, complementary conditions).
-    """
-    model = path.model
-    sl = model.block_slices[block_index]
-    d = sl.stop - sl.start
-    nodes = _grid(prob, path)
-    k = len(nodes) - 1
-    h = nodes[1] - nodes[0]
-
-    mids = []
-    for j in range(k):
-        if prob.scheme == "forward-upwind":
-            mids.append(_eval_clamped(path, 0.5 * (nodes[j] + nodes[j + 1])).mat[sl, sl])
-        else:  # implicit-midpoint: node-pair averaging of D
-            a = _eval_clamped(path, nodes[j]).mat[sl, sl]
-            b = _eval_clamped(path, nodes[j + 1]).mat[sl, sl]
-            mids.append(0.5 * (a + b))
-
-    dec_first = eigh(_eval_clamped(path, nodes[0]))
-    dec_last = eigh(_eval_clamped(path, nodes[-1]))
-    if kind == "direct":
-        q_first = _boundary_basis(dec_first, block_index, sl, "neg")
-        q_last = _boundary_basis(dec_last, block_index, sl, "nonneg")
-        sign = 1.0
-    else:
-        q_first = _boundary_basis(dec_first, block_index, sl, "nonneg")
-        q_last = _boundary_basis(dec_last, block_index, sl, "neg")
-        sign = -1.0
-
-    k_first = q_first.shape[1]
-    k_last = q_last.shape[1]
+    k, d, _ = dm.shape
+    eye = np.eye(d)
+    left = sign * (-eye / h) + 0.5 * dm
+    right = sign * (eye / h) + 0.5 * dm
+    k_first, k_last = q_first.shape[1], q_last.shape[1]
     cols = k_first + (k - 1) * d + k_last
     mat = np.zeros((k * d, cols), dtype=complex)
-    eye = np.eye(d)
-
-    def col_block(node):
-        """Column range and basis for a node (identity for interior nodes)."""
-        if node == 0:
-            return 0, q_first
-        if node == k:
-            return k_first + (k - 1) * d, q_last
-        return k_first + (node - 1) * d, eye
-
-    for j in range(k):
-        dm = mids[j]
-        left = sign * (-eye / h) + 0.5 * dm
-        right = sign * (eye / h) + 0.5 * dm
-        for node, stencil in ((j, left), (j + 1, right)):
-            start, basis = col_block(node)
-            mat[j * d:(j + 1) * d, start:start + basis.shape[1]] += stencil @ basis
+    # adding into the zero matrix stores every zero entry as +0.0
+    mat[:d, :k_first] += left[0] @ q_first
+    mat[-d:, cols - k_last:] += right[-1] @ q_last
+    node = np.arange(1, k)[:, None, None]
+    comp = np.arange(d)
+    rows = node * d + comp[:, None]
+    node_cols = k_first + (node - 1) * d + comp
+    mat[rows, node_cols] += left[1:]
+    mat[rows - d, node_cols] += right[:-1]
     return mat
+
+
+def _block_matrices(prob):
+    """Yield the blocks (A_b, A_adj_b) of :func:`assemble`, in block order.
+
+    A_b is d/du + D with the APS conditions (no nonnegative components at
+    the first node, no negative ones at the last), A_adj_b is -d/du + D with
+    the complementary ones.  The path is evaluated once per distinct clamped
+    point: interval midpoints (forward-upwind) or nodes (implicit-midpoint,
+    which averages D over each node pair).
+    """
+    path = prob.path
+    model = path.model
+    decs = [eigh(path.eval(0.0)), eigh(path.eval(1.0))]
+    nodes = _grid(prob, decs)
+    h = nodes[1] - nodes[0]
+    if prob.scheme == "forward-upwind":
+        points = np.clip(0.5 * (nodes[:-1] + nodes[1:]), 0.0, 1.0)
+    else:
+        points = np.clip(nodes, 0.0, 1.0)
+    distinct, where = np.unique(points, return_inverse=True)
+    values = np.stack([path.eval(u).mat for u in distinct])
+    for b, sl in enumerate(model.block_slices):
+        dm = values[:, sl, sl][where]
+        if prob.scheme == "implicit-midpoint":
+            dm = 0.5 * (dm[:-1] + dm[1:])
+        neg_first, nonneg_first = _boundary_bases(decs[0], b, sl)
+        neg_last, nonneg_last = _boundary_bases(decs[1], b, sl)
+        yield (_fill(dm, h, 1.0, neg_first, nonneg_last),
+               _fill(dm, h, -1.0, nonneg_first, neg_last))
+
+
+def _block_diag(mats):
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
+                   dtype=complex)
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
 
 
 def assemble(prob):
@@ -196,46 +182,25 @@ def assemble(prob):
     unconstrained node components; blocks are stacked block-diagonally in
     the model's block order.
     """
-    path = prob.effective_path()
-    blocks_a = [_assemble_block(prob, path, b, "direct")
-                for b in range(len(path.model.blocks))]
-    blocks_adj = [_assemble_block(prob, path, b, "adjoint")
-                  for b in range(len(path.model.blocks))]
-
-    def block_diag(mats):
-        rows = sum(m.shape[0] for m in mats)
-        cols = sum(m.shape[1] for m in mats)
-        out = np.zeros((rows, cols), dtype=complex)
-        r = c = 0
-        for m in mats:
-            out[r:r + m.shape[0], c:c + m.shape[1]] = m
-            r += m.shape[0]
-            c += m.shape[1]
-        return out
-
-    return block_diag(blocks_a), block_diag(blocks_adj)
+    direct, adjoint = zip(*_block_matrices(prob))
+    return _block_diag(direct), _block_diag(adjoint)
 
 
 def _kernel_dim(mat, theta):
-    """Kernel dimension by singular-value thresholding with a gap check."""
-    rows, cols = mat.shape
-    if cols == 0:
-        return 0
-    if rows == 0:
-        return cols
+    """Kernel dimension by singular-value thresholding with a gap check.
+
+    Assembled blocks are never empty and their difference stencils make
+    the largest singular value positive.
+    """
     sigma = np.linalg.svd(mat, compute_uv=False)
-    smax = float(sigma[0]) if sigma.size else 0.0
-    if smax == 0.0:
-        return cols
-    cut = theta * smax
+    cut = theta * float(sigma[0])
     in_window = (sigma >= cut / 10.0) & (sigma <= cut * 10.0)
     if np.any(in_window):
         raise NumericError(
             "singular-value gap ambiguity: values "
             f"{sigma[in_window][:4]} near the threshold {cut:.3e}; "
             "refine the grid", partial=sigma)
-    rank = int(np.sum(sigma >= cut))
-    return cols - rank
+    return mat.shape[1] - int(np.sum(sigma >= cut))
 
 
 def aps_index(prob, check_stability=False):
@@ -243,19 +208,16 @@ def aps_index(prob, check_stability=False):
 
     Weighted kernel dimension of A minus that of A_adj, both detected by
     singular values below ``kernel_threshold`` times the largest one, and
-    snapped to the weight lattice as the engine values are.  With
-    ``check_stability`` the computation is repeated on the doubled grid and
-    the two indices must agree.
+    snapped to the weight lattice as the engine values are.  The blocks are
+    assembled and checked one at a time.  With ``check_stability`` the
+    computation is repeated on the doubled grid and the two indices must
+    agree.
     """
-    path = prob.effective_path()
-    total = 0.0
-    for b, (nb, w) in enumerate(path.model.blocks):
-        a = _assemble_block(prob, path, b, "direct")
-        adj = _assemble_block(prob, path, b, "adjoint")
-        ker = _kernel_dim(a, prob.kernel_threshold)
-        coker = _kernel_dim(adj, prob.kernel_threshold)
-        total += w * (ker - coker)
-    total = path.model.snap(total)
+    theta = prob.kernel_threshold
+    counts = [_kernel_dim(a, theta) - _kernel_dim(adj, theta)
+              for a, adj in _block_matrices(prob)]
+    model = prob.path.model
+    total = model.snap(model.weighted_sum(counts))
     if check_stability:
         again = aps_index(replace(prob, grid_size=2 * prob.grid_size))
         if abs(again - total) > 1e-9:
@@ -309,24 +271,16 @@ def halfline_aps_apply_inverse(d0, f, length, grid_size):
     h = float(length) / grid_size
     g = np.zeros_like(f)
     for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-        fk = f @ np.conj(vec)
+        # a growing mode is a decaying one in reversed x with right-hand side -f
+        fk = f @ np.conj(vec) if lam > 0 else -(f @ np.conj(vec))[::-1]
+        e1, e2 = _exp_moments(abs(lam), h)
+        a_coef = e2 / h
+        b_coef = e1 - e2 / h
+        decay = math.exp(-abs(lam) * h)
         gk = np.zeros(grid_size + 1, dtype=complex)
-        if lam > 0:
-            e1, e2 = _exp_moments(lam, h)
-            a_coef = e2 / h
-            b_coef = e1 - e2 / h
-            decay = math.exp(-lam * h)
-            for i in range(grid_size):
-                gk[i + 1] = decay * gk[i] + a_coef * fk[i] + b_coef * fk[i + 1]
-        else:
-            mu = -lam
-            e1, e2 = _exp_moments(mu, h)
-            c_coef = e1 - e2 / h
-            d_coef = e2 / h
-            decay = math.exp(-mu * h)
-            for i in range(grid_size - 1, -1, -1):
-                gk[i] = decay * gk[i + 1] - (c_coef * fk[i] + d_coef * fk[i + 1])
-        g += np.outer(gk, vec)
+        for i in range(grid_size):
+            gk[i + 1] = decay * gk[i] + a_coef * fk[i] + b_coef * fk[i + 1]
+        g += np.outer(gk if lam > 0 else gk[::-1], vec)
     return g[:, 0] if squeeze else g
 
 
@@ -380,12 +334,11 @@ def perturbation_truncation_check(d, k_path, r_start, u_points=21,
     for _ in range(max_doublings + 1):
         proj = spectral_projection(dec, Interval.symmetric(r)).mat
         trunc_k1 = proj @ k1.mat @ proj
-        smins = []
-        for u in us:
-            e_u = d.mat + (1.0 - u) * k1.mat + u * trunc_k1
-            smins.append(float(np.min(np.abs(np.linalg.eigvalsh(e_u)))))
-        passes = min(smins) > smin_floor
-        entry = {"R": r, "min_singular_value": min(smins), "passes": passes}
+        t = us[:, None, None]
+        smin = float(np.min(np.abs(np.linalg.eigvalsh(
+            d.mat + (1.0 - t) * k1.mat + t * trunc_k1))))
+        passes = smin > smin_floor
+        entry = {"R": r, "min_singular_value": smin, "passes": passes}
         if passes:
             samples = [(float(u), BlockHermitian(model, d.mat + proj @ k_path.eval(float(u)).mat @ proj))
                        for u in k_path.us]

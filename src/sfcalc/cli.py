@@ -91,8 +91,8 @@ def validate_scenario(doc):
              f"field 'schema' must equal {SCHEMA_VERSION}")
     _require(isinstance(doc.get("name"), str) and doc["name"],
              "field 'name' must be a nonempty string")
-    _require(doc.get("seed") is None or isinstance(doc["seed"], int),
-             "field 'seed' must be an integer")
+    _require(doc.get("seed") is None or isinstance(doc["seed"], int) and doc["seed"] >= 0,
+             "field 'seed' must be a nonnegative integer")
     model = doc.get("model")
     _require(isinstance(model, dict) and "type" in model,
              "field 'model' must be an object with a 'type'")
@@ -309,6 +309,8 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
     seed = doc.get("seed")
     env_seed = os.environ.get("SFCALC_SEED")
     if env_seed is not None:
+        _require(env_seed.isdecimal(),
+                 f"SFCALC_SEED must be a nonnegative integer, got {env_seed!r}")
         seed = int(env_seed)
     record = RunRecord(scenario=doc["name"], seed=seed)
     started = time.perf_counter()

@@ -213,9 +213,10 @@ def sf_crossing(path, window=0.5, max_depth=20):
     """Net weighted flow of eigenvalues through 0.
 
     The partition is refined until every step moves the operator by less
-    than ``window``; per-step nonnegative-count differences are then summed
-    (they telescope to the endpoint difference for finite models).
-    Eigenvalue 0 counts as nonnegative.
+    than ``window``; per-step, per-block nonnegative-count differences are
+    then summed (they telescope to the endpoint difference for finite
+    models) and weighted once, as the index is.  Eigenvalue 0 counts as
+    nonnegative.
     """
     if path.is_frequency:
         raise ModelError("sf_crossing is defined on weighted block models")
@@ -223,9 +224,11 @@ def sf_crossing(path, window=0.5, max_depth=20):
         raise DomainError("window must be positive")
     us, ops, motions, depth = _refine_block_partition(path, window, max_depth)
     decs = [eigh(op) for op in ops]
-    counts = [d.weighted_count(d.nonneg_mask()) for d in decs]
+    blocks = len(path.model.blocks)
+    counts = [np.bincount(d.block_index[d.nonneg_mask()], minlength=blocks)
+              for d in decs]
     steps = [counts[j + 1] - counts[j] for j in range(len(counts) - 1)]
-    raw = math.fsum(steps)
+    raw = path.model.weighted_sum(np.sum(steps, axis=0))
     diagnostics = {
         "refinement_depth": float(depth),
         "num_steps": float(len(steps)),

@@ -144,6 +144,11 @@ class WeightedBlockModel:
                          q.denominator * f.denominator)
         return float(q)
 
+    def weighted_sum(self, counts):
+        """The correctly rounded sum of w_b * n_b over integer per-block
+        counts, so every route to the same counts gives the same bits."""
+        return math.fsum(w * int(n) for (_, w), n in zip(self.blocks, counts))
+
     def snap(self, raw):
         """Round ``raw`` to the weight lattice of :meth:`lattice_step`.
 

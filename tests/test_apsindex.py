@@ -1,11 +1,15 @@
 """Suspension-operator assembly, index, half-line inverse, truncation sweep."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sfcalc.apsindex import (SuspensionProblem, aps_index, assemble,
+import sfcalc
+from sfcalc.apsindex import (SCHEMES, SuspensionProblem, aps_index, assemble,
                              halfline_aps_apply_inverse, halfline_residual,
                              perturbation_truncation_check)
 from sfcalc.engines import sf_crossing
@@ -67,6 +71,64 @@ def test_assemble_single_crossing_kernel_matches_ode_oracle():
     oracle = np.exp(-np.interp(nodes, fine, anti))
     overlap = abs(null @ oracle) / (np.linalg.norm(null) * np.linalg.norm(oracle))
     assert overlap > 1.0 - 1e-4
+
+
+def _assemble_by_loop(prob):
+    """Reference for assemble(): evaluate the path per interval and fill
+    each node's stencil by one product, node by node."""
+    from scipy.linalg import block_diag
+
+    path, m = prob.path, prob.grid_size
+    if prob.geometry == "interval-APS":
+        nodes = np.linspace(0.0, 1.0, m + 1)
+    else:
+        steps = max(1, math.ceil(prob.cylinder_length * m))
+        nodes = np.arange(-steps, m + steps + 1) / m
+    k, h = len(nodes) - 1, nodes[1] - nodes[0]
+
+    def d_at(v):
+        return path.eval(min(max(float(v), 0.0), 1.0)).mat
+
+    if prob.scheme == "forward-upwind":
+        mids = [d_at(0.5 * (nodes[j] + nodes[j + 1])) for j in range(k)]
+    else:
+        mids = [0.5 * (d_at(nodes[j]) + d_at(nodes[j + 1])) for j in range(k)]
+    decs = [eigh(path.eval(0.0)), eigh(path.eval(1.0))]
+    out = {1.0: [], -1.0: []}
+    for b, sl in enumerate(path.model.block_slices):
+        d = sl.stop - sl.start
+        eye = np.eye(d)
+        sides = []
+        for dec in decs:
+            own = dec.block_index == b
+            nonneg = dec.nonneg_mask()[own]
+            vecs = dec.eigenvectors[sl][:, own]
+            sides.append((vecs[:, ~nonneg], vecs[:, nonneg]))
+        (neg0, nonneg0), (neg1, nonneg1) = sides
+        for sign, q_first, q_last in ((1.0, neg0, nonneg1), (-1.0, nonneg0, neg1)):
+            bases = [q_first] + [eye] * (k - 1) + [q_last]
+            starts = np.concatenate([[0], np.cumsum([q.shape[1] for q in bases])])
+            mat = np.zeros((k * d, starts[-1]), dtype=complex)
+            for j in range(k):
+                for node, step in ((j, -eye / h), (j + 1, eye / h)):
+                    stencil = sign * step + 0.5 * mids[j][sl, sl]
+                    mat[j * d:(j + 1) * d, starts[node]:starts[node + 1]] += \
+                        stencil @ bases[node]
+            out[sign].append(mat)
+    return block_diag(*out[1.0]), block_diag(*out[-1.0])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("geometry", ["interval-APS", "cylinder"])
+def test_assemble_matches_per_node_loop(geometry, scheme):
+    rng = rng_from_seed(6700)
+    model = WeightedBlockModel([(2, 1.0), (3, 0.5)])
+    path = random_path(rng, model, num_samples=7, endpoint_flat=True)
+    prob = SuspensionProblem(path=path, grid_size=24, scheme=scheme,
+                             geometry=geometry, cylinder_length=0.5)
+    for got, expected in zip(assemble(prob), _assemble_by_loop(prob)):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_interval_requires_flat_path():
@@ -153,23 +215,27 @@ def test_cut_additivity():
         assert idx(concatenate(a, b)) == idx(a) + idx(b)
 
 
-def test_index_equals_flow_quick():
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("interpolation", ["linear", "cubic"])
+def test_index_equals_flow_quick(interpolation, scheme):
     for seed in range(6):
         rng = rng_from_seed(6500 + seed)
         model = random_block_model(rng, max_blocks=2, max_block_dim=3)
-        path = random_path(rng, model, num_samples=7, endpoint_flat=True)
-        assert aps_index(SuspensionProblem(path=path, grid_size=200)) \
+        raw = random_path(rng, model, num_samples=7)
+        samples = [(u, raw.sample(j)) for j, u in enumerate(raw.us)]
+        path = flatten_endpoints(
+            OperatorPath(model, samples, interpolation=interpolation),
+            margin=0.15, num_samples=25)
+        assert aps_index(SuspensionProblem(path=path, grid_size=200, scheme=scheme)) \
             == sf_crossing(path).value
 
 
-def test_endpoint_regularize_preserves_index():
-    # path with a kernel at the start: regularization shifts it away while
-    # keeping the boundary projections
+def test_index_equals_flow_with_kernel_at_start():
+    # D_0 = 0: the kernel counts as nonnegative and the left boundary
+    # condition removes it
     path = flatten_endpoints(scalar_linear_path(0.0, 1.0), margin=0.15)
-    plain = aps_index(SuspensionProblem(path=path, grid_size=128))
-    regularized = aps_index(SuspensionProblem(path=path, grid_size=128,
-                                              endpoint_regularize=True))
-    assert plain == regularized == sf_crossing(path).value
+    assert aps_index(SuspensionProblem(path=path, grid_size=128)) \
+        == sf_crossing(path).value
 
 
 def _expand_adjoint_null(path, v, grid, dim):
@@ -222,6 +288,22 @@ def test_adjoint_consistency_subspace_angle():
     block_path = flatten_endpoints(OperatorPath(model, samples), num_samples=33)
     assert sf_crossing(block_path).value == -1.0
     assert _adjoint_angle(block_path, 400, 2) < 1e-6
+
+
+def test_grid_convergence_script_index_equals_flow():
+    src = os.path.dirname(os.path.dirname(sfcalc.__file__))
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "grid_convergence.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, script, "--grids", "25", "50"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    flow = lines[0].split("crossing flow")[1].strip()
+    indices = [line.split()[1] for line in lines[2:]]
+    assert len(indices) == 2
+    assert all(float(index) == float(flow) for index in indices)
 
 
 # ---------------------------------------------------------------------------

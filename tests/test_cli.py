@@ -1,9 +1,11 @@
 """Scenario ingestion, CSV artifacts, exit codes and determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -116,7 +118,7 @@ def test_threads_do_not_change_values(tmp_path):
         mask_runtime(read_csv(out_b / "random_agreement.csv"))
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
+def test_env_seed_override(tmp_path, monkeypatch, capsys):
     doc = json.load(open(bundled("random_agreement.json")))
     doc["aps"]["enabled"] = False
     doc["engines"] = ["crossing"]
@@ -131,6 +133,12 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert rows_x[1][6] == "90125"
     assert rows_y[1][6] == "777"
     assert rows_x[1][3] != rows_y[1][3]  # different draw
+    capsys.readouterr()
+    for bad in ("abc", "-5"):
+        monkeypatch.setenv("SFCALC_SEED", bad)
+        assert main(["run", str(scen), "--out", str(tmp_path / "z")]) == 2
+        assert (f"SFCALC_SEED must be a nonnegative integer, got {bad!r}"
+                in capsys.readouterr().err)
 
 
 def test_run_log_written(tmp_path):
@@ -165,18 +173,43 @@ def test_run_record_agreement_antisymmetric(tmp_path):
     assert all(abs(d) < 1e-9 for d in seen.values())
 
 
-def test_index_matches_flow_on_non_dyadic_weights(tmp_path):
-    # 0.3 * 1 and the crossing value 0.1 * round(3.0000000000000004) differ
-    # in the last bit unless the index is snapped to the weight lattice too
+@pytest.mark.parametrize("blocks, minus_dims", [
+    # snapped to the lattice of step 0.1 on both sides
+    ([[1, 0.3], [1, 0.1]], [1, 0]),
+    # no rational step: both sides sum w_b * n_b over the same block counts
+    ([[2, math.sqrt(2)], [2, 1.0]], [2, 1]),
+], ids=["step-0.1", "sqrt2"])
+def test_index_matches_flow_on_non_dyadic_weights(tmp_path, blocks, minus_dims):
     doc = json.load(open(bundled("involution_norm.json")))
     doc["name"] = "non_dyadic"
-    doc["model"]["blocks"] = [[1, 0.3], [1, 0.1]]
-    doc["path"]["params"]["minus_dims"] = [1, 0]
+    doc["model"]["blocks"] = blocks
+    doc["path"]["params"]["minus_dims"] = minus_dims
     doc["engines"] = ["crossing"]
     doc["assertions"] = {"aps_matches_crossing": True}
     scen = tmp_path / "non_dyadic.json"
     scen.write_text(json.dumps(doc))
     assert main(["run", str(scen), "--out", str(tmp_path)]) == 0
+
+
+def test_oversized_index_refused_up_front(tmp_path, capsys):
+    # the default cylinder length 4 / 0.001 puts 1.6M intervals on the grid
+    doc = {"schema": 1, "name": "oversized",
+           "model": {"type": "weighted_blocks", "blocks": [[1, 1.0]]},
+           "path": {"type": "explicit",
+                    "samples": [{"u": 0.0, "matrix": [[-0.001]]},
+                                {"u": 1.0, "matrix": [[1.0]]}]},
+           "engines": [],
+           "aps": {"enabled": True, "M": 200, "geometry": "cylinder"}}
+    scen = tmp_path / "oversized.json"
+    scen.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code = main(["run", str(scen), "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert "1600200 x 1600201" in err and "GiB" in err
+    assert elapsed < 1.0
 
 
 def _set_path(doc, key, value):
@@ -195,9 +228,10 @@ def _set_path(doc, key, value):
     ("engine_params.chi", 3),
     ("path", {"type": "explicit", "samples": [{"u": 0.0, "matrix": [["x"]]}]}),
     ("model", {"type": "circle_metric", "n": 8}),
+    ("seed", -5),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
-        "circle-metric-without-metric-path"])
+        "circle-metric-without-metric-path", "negative-seed"])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, key, value):
     doc = json.load(open(bundled("random_agreement.json")))
     _set_path(doc, key, value)
