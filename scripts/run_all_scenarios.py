@@ -10,13 +10,11 @@ from sfcalc.cli import list_scenarios, main as cli_main
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="scenario_out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     worst = 0
     for name in list_scenarios():
-        code = cli_main(["--threads", str(args.threads),
-                         "run", name, "--out", args.out])
+        code = cli_main(["run", name, "--out", args.out])
         worst = max(worst, code)
     sys.exit(worst)
 

@@ -153,7 +153,7 @@ def _block_matrices(prob):
     else:
         points = np.clip(nodes, 0.0, 1.0)
     distinct, where = np.unique(points, return_inverse=True)
-    values = np.stack([path.eval(u).mat for u in distinct])
+    values = path.eval(distinct)
     for b, sl in enumerate(model.block_slices):
         dm = values[:, sl, sl][where]
         if prob.scheme == "implicit-midpoint":

@@ -9,7 +9,6 @@ scenario and seed give identical result values.
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -61,8 +60,17 @@ def _require(cond, message):
 
 
 def _numbers(obj, *keys):
-    """True when each of ``keys`` is absent from ``obj`` or holds a number."""
-    return all(isinstance(obj[k], (int, float)) for k in keys if k in obj)
+    """True when each of ``keys`` is absent from ``obj`` or holds a finite
+    number."""
+    return all(_finite(obj[k]) for k in keys if k in obj)
+
+
+def _finite(value):
+    """True for an int or a float that is a finite float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _numeric_matrix(entries):
@@ -73,10 +81,22 @@ def _numeric_matrix(entries):
         return False
 
 
+def _reject_constant(name):
+    raise ScenarioError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ScenarioError(f"number {text} is out of range")
+    return value
+
+
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant,
+                            parse_float=_finite_float)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -102,7 +122,7 @@ def validate_scenario(doc):
         blocks = model.get("blocks")
         _require(isinstance(blocks, list) and blocks and all(
             isinstance(b, list) and len(b) == 2 and isinstance(b[0], int)
-            and isinstance(b[1], (int, float)) for b in blocks),
+            and _finite(b[1]) for b in blocks),
             "model.blocks must be a nonempty list of [dim, weight] numbers")
     _require(_numbers(model, "rho", "xi_max") and isinstance(model.get("n", 16), int)
              and isinstance(model.get("profile", ""), str),
@@ -132,7 +152,7 @@ def validate_scenario(doc):
     if path["type"] == "explicit":
         samples = path.get("samples")
         _require(isinstance(samples, list) and all(
-            isinstance(item, dict) and isinstance(item.get("u"), (int, float))
+            isinstance(item, dict) and _finite(item.get("u"))
             and _numeric_matrix(item.get("matrix")) for item in samples),
             "path.samples must be a list of {'u': number, 'matrix': numbers}")
     engines = doc.get("engines", [])
@@ -142,13 +162,13 @@ def validate_scenario(doc):
     _require(isinstance(params, dict), "field 'engine_params' must be an object")
     s_grid = params.get("s_grid", [1.0])
     _require(isinstance(s_grid, list) and all(
-        isinstance(s, (int, float)) and s > 0 for s in s_grid),
-        "engine_params.s_grid must be a list of positive numbers")
+        _finite(s) and s > 0 for s in s_grid),
+        "engine_params.s_grid must be a list of positive finite numbers")
     _require(isinstance(params.get("chi", []), (str, list)) and all(
         isinstance(c, str) and c in CHI_PROFILES for c in _chi_list(params)),
         f"engine_params.chi must name profiles among {sorted(CHI_PROFILES)}")
     window = params.get("window", 0.5)
-    _require(isinstance(window, (int, float)) and window > 0,
+    _require(_finite(window) and window > 0,
              "engine_params.window must be positive")
     _require(_numbers(params, "min_endpoint_gap"),
              "engine_params.min_endpoint_gap must be a number")
@@ -168,7 +188,7 @@ def validate_scenario(doc):
         _require(aps.get("geometry", "interval-APS") in GEOMETRIES,
                  "aps.geometry unknown")
         theta = aps.get("theta", 1e-7)
-        _require(isinstance(theta, (int, float)) and theta > 0,
+        _require(_finite(theta) and theta > 0,
                  "aps.theta must be positive")
         _require(_numbers(aps, "L"), "aps.L must be a number")
 
@@ -305,7 +325,11 @@ def _run_engine(name, path, params):
 
 
 def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
-    """Execute one scenario document.  Returns (record, exit_code)."""
+    """Execute one scenario document.  Returns (record, exit_code).
+
+    Engines run one after the other; ``threads`` is accepted for callers
+    written against the former thread pool and has no effect.
+    """
     seed = doc.get("seed")
     env_seed = os.environ.get("SFCALC_SEED")
     if env_seed is not None:
@@ -321,19 +345,11 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
     params = doc.get("engine_params", {})
     engine_names = doc.get("engines", [])
     rows = []
-    def run_named(name):
+    for name in engine_names:
         try:
-            return _run_engine(name, path, params)
+            engine_rows, results = _run_engine(name, path, params)
         except NumericError as exc:
             raise NumericError(f"sf_{name}: {exc}", partial=exc.partial) from exc
-
-    if threads > 1 and len(engine_names) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_named, name) for name in engine_names]
-            outputs = [f.result() for f in futures]  # fixed merge order
-    else:
-        outputs = [run_named(name) for name in engine_names]
-    for engine_rows, results in outputs:
         rows.extend(engine_rows)
         record.engine_results.update(results)
 
@@ -445,13 +461,18 @@ def list_scenarios():
     return names
 
 
+def _positive_scale(text):
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sfcalc",
         description="Spectral flow engines and suspension-index computations")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="run independent engine computations concurrently")
-    parser.add_argument("--tolerance-scale", type=float, default=1.0,
+    parser.add_argument("--tolerance-scale", type=_positive_scale, default=1.0,
                         help="scale factor applied to scenario assertion tolerances")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -496,7 +517,7 @@ def main(argv=None):
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     try:
-        record, code = run_scenario(doc, out_dir=args.out, threads=args.threads,
+        record, code = run_scenario(doc, out_dir=args.out,
                                     tolerance_scale=args.tolerance_scale)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

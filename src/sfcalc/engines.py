@@ -24,7 +24,7 @@ from .path import smoothstep
 from .quadrature import adaptive_gauss_legendre
 from .tracemodel import (BlockHermitian, FrequencyModel, FreqSymbol,
                          SpectralDecomposition, WeightedBlockModel, eigh,
-                         trace)
+                         eigh_stack, trace)
 
 __all__ = ["ChiProfile", "sine_profile", "quintic_profile", "CHI_PROFILES",
            "SpectralFlowResult", "sf_crossing", "sf_phillips",
@@ -176,33 +176,36 @@ def _refine_block_partition(path, window, max_depth):
     us = list(path.us)
     depth = 0
     while True:
-        ops = [path.eval(u) for u in us]
-        motions = [float(np.linalg.norm(ops[j + 1].mat - ops[j].mat, 2))
-                   for j in range(len(us) - 1)]
-        bad = [j for j, m in enumerate(motions) if m >= window]
-        if not bad:
-            return us, ops, motions, depth
+        mats = path.eval(np.array(us))
+        motions = np.linalg.norm(mats[1:] - mats[:-1], 2, axis=(1, 2))
+        bad = np.flatnonzero(motions >= window)
+        if not bad.size:
+            return us, mats, motions, depth
         depth += 1
         if depth > max_depth:
             raise NumericError(
                 f"partition refinement exceeded {max_depth} bisections "
-                f"(max step motion {max(motions):.3e} vs window {window})")
+                f"(max step motion {motions.max():.3e} vs window {window})")
         for j in reversed(bad):
             us.insert(j + 1, 0.5 * (us[j] + us[j + 1]))
 
 
 def _spectral_trace(path, us, f):
     """Weighted trace of (dF/du) f(F) at each parameter in ``us`` of a block
-    path: sum_k w_k f(lambda_k) <v_k, F'(u) v_k> over the eigenpairs of F_u.
+    path: sum_b w_b sum_k f(lambda_k) <v_k, F'(u) v_k> over the eigenpairs
+    of each block of F_u.
 
-    The integrand of both the heat-kernel and the cutoff formula.
+    The integrand of both the heat-kernel and the cutoff formula.  The path
+    is evaluated once for all of ``us`` and each block decomposed by one
+    stacked ``eigh``.
     """
-    out = np.empty(len(us))
-    for i, u in enumerate(us):
-        dec = eigh(path.eval(u))
-        v = dec.eigenvectors
-        diag = np.einsum("ji,jk,ki->i", v.conj(), path.derivative(u).mat, v).real
-        out[i] = np.sum(dec.weights * f(dec.eigenvalues) * diag)
+    model = path.model
+    slopes = path.derivative(us)
+    out = np.zeros(len(us))
+    for (_, w), sl, (lam, v) in zip(model.blocks, model.block_slices,
+                                    eigh_stack(model, path.eval(us))):
+        diag = np.sum(v.conj() * (slopes[:, sl, sl] @ v), axis=1).real
+        out += w * np.sum(f(lam) * diag, axis=1)
     return out
 
 
@@ -222,8 +225,8 @@ def sf_crossing(path, window=0.5, max_depth=20):
         raise ModelError("sf_crossing is defined on weighted block models")
     if not window > 0:
         raise DomainError("window must be positive")
-    us, ops, motions, depth = _refine_block_partition(path, window, max_depth)
-    decs = [eigh(op) for op in ops]
+    us, mats, motions, depth = _refine_block_partition(path, window, max_depth)
+    decs = [eigh(BlockHermitian._trusted(path.model, m)) for m in mats]
     blocks = len(path.model.blocks)
     counts = [np.bincount(d.block_index[d.nonneg_mask()], minlength=blocks)
               for d in decs]
@@ -232,7 +235,7 @@ def sf_crossing(path, window=0.5, max_depth=20):
     diagnostics = {
         "refinement_depth": float(depth),
         "num_steps": float(len(steps)),
-        "max_step_motion": float(max(motions)) if motions else 0.0,
+        "max_step_motion": float(motions.max()),
         "min_endpoint_gap": min(_min_abs_eig(decs[0]), _min_abs_eig(decs[-1])),
         "window": float(window),
     }

@@ -110,8 +110,9 @@ class CircleMetricPath:
         u = float(u)
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"metric parameter {u} outside [0, 1]")
-        value, _ = hermite(self.u_samples, self.coeff_samples, self._tangents, u)
-        return value
+        value, _ = hermite(self.u_samples, self.coeff_samples, self._tangents,
+                           np.array([u]))
+        return value[0]
 
     def h_grid(self, u):
         return self._basis @ self.coefficients(u)

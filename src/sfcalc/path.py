@@ -5,7 +5,8 @@ interpolation, differentiation, concatenation and unitary conjugation.
 Samples are either :class:`~sfcalc.tracemodel.BlockHermitian` elements or
 frequency-model symbols; interpolation is entrywise (resp. pointwise) with
 real coefficients, so interpolated values and derivatives are exactly
-Hermitian and block-diagonal and are not validated again.
+Hermitian and block-diagonal and are not validated again.  Block paths
+evaluate a whole array of parameters at once into a stack of matrices.
 """
 
 import numpy as np
@@ -32,10 +33,10 @@ def flat_profile(t, margin=0.15):
 
 
 def _segment(us, u):
-    """Index j of the node interval [us[j], us[j+1]] holding u, using the
-    right-derivative convention at interior nodes."""
-    j = int(np.searchsorted(us, u, side="right")) - 1
-    return min(max(j, 0), len(us) - 2)
+    """Indices j of the node intervals [us[j], us[j+1]] holding the
+    parameters u, using the right-derivative convention at interior nodes."""
+    j = np.searchsorted(us, u, side="right") - 1
+    return np.clip(j, 0, len(us) - 2)
 
 
 def hermite_tangents(us, values):
@@ -64,20 +65,24 @@ def hermite_tangents(us, values):
 
 
 def hermite(us, values, tangents, u):
-    """The cubic Hermite interpolant and its u-derivative at u."""
+    """The cubic Hermite interpolant and its u-derivative at the 1-D array
+    of parameters u, stacked along the first axis."""
     j = _segment(us, u)
-    h = us[j + 1] - us[j]
-    t = (u - us[j]) / h
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    h = (us[j + 1] - us[j]).reshape(shape)
+    t = (u - us[j]).reshape(shape) / h
+    t2 = t * t
+    t3 = t2 * t
     p0, p1 = values[j], values[j + 1]
     m0, m1 = tangents[j] * h, tangents[j + 1] * h
-    h00 = 2 * t ** 3 - 3 * t ** 2 + 1
-    h10 = t ** 3 - 2 * t ** 2 + t
-    h01 = -2 * t ** 3 + 3 * t ** 2
-    h11 = t ** 3 - t ** 2
-    dh00 = 6 * t ** 2 - 6 * t
-    dh10 = 3 * t ** 2 - 4 * t + 1
-    dh01 = -6 * t ** 2 + 6 * t
-    dh11 = 3 * t ** 2 - 2 * t
+    h00 = 2 * t3 - 3 * t2 + 1
+    h10 = t3 - 2 * t2 + t
+    h01 = -2 * t3 + 3 * t2
+    h11 = t3 - t2
+    dh00 = 6 * t2 - 6 * t
+    dh10 = 3 * t2 - 4 * t + 1
+    dh01 = -6 * t2 + 6 * t
+    dh11 = 3 * t2 - 2 * t
     value = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
     slope = (dh00 * p0 + dh10 * m0 + dh01 * p1 + dh11 * m1) / h
     return value, slope
@@ -158,36 +163,59 @@ class OperatorPath:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _params(self, u):
+        """Parameters as a 1-D array, checked to lie in [0, 1]."""
+        us = np.atleast_1d(np.asarray(u, dtype=float))
+        if us.ndim != 1:
+            raise ValidationError("path parameters must be a number or a 1-D array")
+        outside = ~((us >= 0.0) & (us <= 1.0))
+        if outside.any():
+            raise DomainError(f"path parameter {us[outside][0]} outside [0, 1]")
+        if self.is_frequency and np.ndim(u) != 0:
+            raise ValidationError("frequency paths evaluate one parameter at a time")
+        return us
+
+    def _block_result(self, u, mats):
+        if np.ndim(u) == 0:
+            return BlockHermitian._trusted(self.model, mats[0])
+        return mats
+
     def eval(self, u):
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise DomainError(f"path parameter {u} outside [0, 1]")
+        """F_u: for a number u an element of the model (a symbol on frequency
+        paths); for a 1-D array of parameters, block paths return the
+        stacked matrices, shape (len(u), dim, dim).  A number is evaluated
+        as a one-element array, so both give the same bits."""
+        us = self._params(u)
         if self.interpolation == "cubic":
-            mat, _ = hermite(self.us, self._stack, self._tangents, u)
-            return BlockHermitian._trusted(self.model, mat)
-        j = _segment(self.us, u)
-        t = (u - self.us[j]) / (self.us[j + 1] - self.us[j])
+            mats, _ = hermite(self.us, self._stack, self._tangents, us)
+            return self._block_result(u, mats)
+        j = _segment(self.us, us)
+        t = (us - self.us[j]) / (self.us[j + 1] - self.us[j])
         if self.is_frequency:
+            j, t = int(j[0]), t[0]
             if t == 0.0:
                 return self._symbols[j]
             if t == 1.0:
                 return self._symbols[j + 1]
             return self._symbols[j].lerp(self._symbols[j + 1], t)
-        mat = (1.0 - t) * self._stack[j] + t * self._stack[j + 1]
-        return BlockHermitian._trusted(self.model, mat)
+        t = t[:, None, None]
+        return self._block_result(
+            u, (1.0 - t) * self._stack[j] + t * self._stack[j + 1])
 
     def derivative(self, u):
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise DomainError(f"path parameter {u} outside [0, 1]")
+        """dF/du, right derivative at interior nodes; numbers and arrays as
+        in :meth:`eval`."""
+        us = self._params(u)
         if self.interpolation == "cubic":
-            _, mat = hermite(self.us, self._stack, self._tangents, u)
-            return BlockHermitian._trusted(self.model, mat)
-        j = _segment(self.us, u)
+            _, mats = hermite(self.us, self._stack, self._tangents, us)
+            return self._block_result(u, mats)
+        j = _segment(self.us, us)
         h = self.us[j + 1] - self.us[j]
         if self.is_frequency:
-            return self._symbols[j].diff_quotient(self._symbols[j + 1], h)
-        return BlockHermitian._trusted(self.model, (self._stack[j + 1] - self._stack[j]) / h)
+            j = int(j[0])
+            return self._symbols[j].diff_quotient(self._symbols[j + 1], h[0])
+        return self._block_result(
+            u, (self._stack[j + 1] - self._stack[j]) / h[:, None, None])
 
     def with_samples(self, new_samples, endpoint_flat=None):
         return OperatorPath(
@@ -295,8 +323,9 @@ def reparametrize(path, phi, num_samples=None):
     if num_samples is None:
         num_samples = max(2 * len(path.us) + 1, 17)
     ts = np.linspace(0.0, 1.0, num_samples)
-    samples = [(float(t), path.eval(float(np.clip(phi(t), 0.0, 1.0)))) for t in ts]
-    return OperatorPath(path.model, samples, interpolation=path.interpolation)
+    warped = np.clip([phi(t) for t in ts], 0.0, 1.0)
+    return OperatorPath(path.model, _resampled(path, ts, warped),
+                        interpolation=path.interpolation)
 
 
 def flatten_endpoints(path, margin=0.15, num_samples=None):
@@ -304,6 +333,11 @@ def flatten_endpoints(path, margin=0.15, num_samples=None):
     if num_samples is None:
         num_samples = max(2 * len(path.us) + 1, 33)
     ts = np.linspace(0.0, 1.0, num_samples)
-    samples = [(float(t), path.eval(float(flat_profile(t, margin)))) for t in ts]
-    return OperatorPath(path.model, samples, interpolation=path.interpolation,
-                        endpoint_flat=True)
+    return OperatorPath(path.model, _resampled(path, ts, flat_profile(ts, margin)),
+                        interpolation=path.interpolation, endpoint_flat=True)
+
+
+def _resampled(path, ts, warped):
+    """Samples (t, F at warped[t]) of a block path, evaluated in one call."""
+    return [(float(t), BlockHermitian._trusted(path.model, mat))
+            for t, mat in zip(ts, path.eval(warped))]

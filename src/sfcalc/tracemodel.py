@@ -23,7 +23,8 @@ from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "WeightedBlockModel", "BlockHermitian", "SpectralDecomposition",
-    "Interval", "trace", "eigh", "spectral_projection", "apply_function",
+    "Interval", "trace", "eigh", "eigh_stack", "spectral_projection",
+    "apply_function",
     "FrequencyModel", "FreqSymbol", "AffineSymbol", "ConstantSymbol",
     "IndicatorSymbol", "LambdaSymbol", "freq_trace", "zero_tolerance",
     "ClusterBoundaryWarning",
@@ -155,8 +156,10 @@ class WeightedBlockModel:
         Spectral flows and indices on this model are integer combinations of
         the weights, so they must land within a quarter step of the lattice;
         values are returned unchanged when the weights share no small
-        rational step.
+        rational step.  A non-finite value is a :class:`NumericError`.
         """
+        if not math.isfinite(raw):
+            raise NumericError(f"value {raw!r} is not finite", partial=raw)
         step = self.lattice_step()
         if step is None:
             return float(raw)
@@ -175,8 +178,9 @@ class WeightedBlockModel:
 class BlockHermitian:
     """Hermitian block-diagonal element of a :class:`WeightedBlockModel`.
 
-    The constructor validates its input: shape, Hermiticity and vanishing
-    off-block entries, up to roundoff, and stores the symmetrized matrix.
+    The constructor validates its input: shape, finite entries, Hermiticity
+    and vanishing off-block entries, up to roundoff, and stores the
+    symmetrized matrix.
     Values the library builds exactly Hermitian and block-diagonal (path
     interpolation, sums, differences, real multiples) skip the checks.
     """
@@ -190,6 +194,8 @@ class BlockHermitian:
         if mat.shape != (n, n):
             raise ValidationError(
                 f"matrix shape {mat.shape} does not match model dimension {n}")
+        if not np.isfinite(mat).all():
+            raise ValidationError("matrix entries must be finite")
         scale = np.linalg.norm(mat)
         gap = np.linalg.norm(mat - mat.conj().T)
         if gap > HERMITIAN_RTOL * max(1.0, scale):
@@ -289,8 +295,40 @@ class SpectralDecomposition:
         return self.eigenvalues >= -zero_tolerance(self.op_norm)
 
 
+def eigh_stack(model, mats):
+    """Blockwise LAPACK eigendecomposition of a stack of Hermitian
+    block-diagonal matrices, ``mats`` of shape (n, dim, dim).
+
+    Returns one ``(eigenvalues, eigenvectors)`` pair per block, of shapes
+    (n, d_b) and (n, d_b, d_b), eigenvalues ascending within the block.
+    Raises :class:`NumericError` when the reconstruction residual of a
+    matrix, in the Frobenius norm summed over its blocks, exceeds
+    1e-10 * max(1, ||F||_F).
+    """
+    parts = []
+    residual = np.zeros(len(mats))
+    norm = np.zeros(len(mats))
+    for sl in model.block_slices:
+        blk = mats[:, sl, sl]
+        vals, vecs = np.linalg.eigh(blk)
+        defect = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2) - blk
+        residual += np.sum(defect.real ** 2 + defect.imag ** 2, axis=(1, 2))
+        norm += np.sum(blk.real ** 2 + blk.imag ** 2, axis=(1, 2))
+        parts.append((vals, vecs))
+    residual = np.sqrt(residual)
+    scale = np.maximum(1.0, np.sqrt(norm))
+    bad = np.flatnonzero(~(residual <= 1e-10 * scale))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"eigendecomposition reconstruction residual {residual[i] / scale[i]:.3e} "
+            f"(matrix {i} of {len(mats)})")
+    return parts
+
+
 def eigh(op):
-    """Blockwise Hermitian eigendecomposition by LAPACK.
+    """Blockwise Hermitian eigendecomposition by LAPACK, the one-matrix case
+    of :func:`eigh_stack`, with eigenvalues sorted across blocks.
 
     Deterministic for identical input.  Eigenvector phases are whatever
     LAPACK returns; every consumer in the library is phase-invariant
@@ -300,32 +338,20 @@ def eigh(op):
         raise ValidationError("eigh expects a BlockHermitian")
     model = op.model
     n = model.dim
-    all_vals = np.empty(n)
+    parts = eigh_stack(model, op.mat[None])
     all_vecs = np.zeros((n, n), dtype=complex)
-    all_weights = np.empty(n)
-    all_block = np.empty(n, dtype=int)
-    pos = 0
-    for b, ((nb, w), sl) in enumerate(zip(model.blocks, model.block_slices)):
-        vals, vecs = np.linalg.eigh(op.mat[sl, sl])
-        all_vals[pos:pos + nb] = vals
-        all_vecs[sl, pos:pos + nb] = vecs
-        all_weights[pos:pos + nb] = w
-        all_block[pos:pos + nb] = b
-        pos += nb
+    for sl, (_, vecs) in zip(model.block_slices, parts):
+        all_vecs[sl, sl] = vecs[0]
+    all_vals = np.concatenate([vals[0] for vals, _ in parts])
+    dims = [nb for nb, _ in model.blocks]
     order = np.argsort(all_vals, kind="stable")
-    dec = SpectralDecomposition(
+    return SpectralDecomposition(
         model=model,
         eigenvalues=all_vals[order],
         eigenvectors=all_vecs[:, order],
-        weights=all_weights[order],
-        block_index=all_block[order],
+        weights=np.repeat([w for _, w in model.blocks], dims)[order],
+        block_index=np.repeat(np.arange(len(dims)), dims)[order],
     )
-    residual = np.linalg.norm(dec.reconstruct() - op.mat)
-    scale = max(1.0, np.linalg.norm(op.mat))
-    if residual > 1e-10 * scale:
-        raise NumericError(
-            f"eigendecomposition reconstruction residual {residual / scale:.3e}")
-    return dec
 
 
 def spectral_projection(dec, interval):

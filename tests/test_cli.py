@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import sfcalc
@@ -95,6 +96,10 @@ def test_tolerance_scale_loosens_assertions(tmp_path):
     assert main(["run", str(scen), "--out", str(tmp_path)]) == 1
     assert main(["--tolerance-scale", "10", "run", str(scen),
                  "--out", str(tmp_path)]) == 0
+    for bad in ("nan", "inf", "0"):  # nan would pass every assertion
+        with pytest.raises(SystemExit) as info:
+            main(["--tolerance-scale", bad, "run", str(scen)])
+        assert info.value.code == 2
 
 
 def test_determinism_identical_values(tmp_path):
@@ -109,13 +114,18 @@ def test_determinism_identical_values(tmp_path):
 
 
 def test_threads_do_not_change_values(tmp_path):
+    # engines run serially: run_scenario still accepts threads= and gives
+    # the same values, and the CLI has no --threads flag
+    doc = json.load(open(bundled("random_agreement.json")))
     out_a = tmp_path / "serial"
-    out_b = tmp_path / "threaded"
-    assert main(["run", "random_agreement", "--out", str(out_a)]) == 0
-    assert main(["--threads", "3", "run", "random_agreement",
-                 "--out", str(out_b)]) == 0
+    out_b = tmp_path / "threads"
+    assert run_scenario(doc, out_dir=str(out_a))[1] == 0
+    assert run_scenario(doc, out_dir=str(out_b), threads=3)[1] == 0
     assert mask_runtime(read_csv(out_a / "random_agreement.csv")) == \
         mask_runtime(read_csv(out_b / "random_agreement.csv"))
+    with pytest.raises(SystemExit) as info:
+        main(["--threads", "3", "run", "random_agreement", "--out", str(out_b)])
+    assert info.value.code == 2
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):
@@ -220,6 +230,16 @@ def _set_path(doc, key, value):
     target[last] = value
 
 
+def _explicit_path(entry):
+    """A two-sample explicit path on random_agreement's 7-dimensional model
+    with ``entry`` in the first sample (json writes NaN or Infinity)."""
+    first = np.eye(7)
+    first[0, 0] = entry
+    return {"type": "explicit",
+            "samples": [{"u": 0.0, "matrix": first.tolist()},
+                        {"u": 1.0, "matrix": np.eye(7).tolist()}]}
+
+
 @pytest.mark.parametrize("key, value", [
     ("path.type", "metric_path"),
     ("engine_params", [0.5, 2.0]),
@@ -229,9 +249,13 @@ def _set_path(doc, key, value):
     ("path", {"type": "explicit", "samples": [{"u": 0.0, "matrix": [["x"]]}]}),
     ("model", {"type": "circle_metric", "n": 8}),
     ("seed", -5),
+    ("path", _explicit_path(math.nan)),
+    ("path", _explicit_path(math.inf)),
+    ("engine_params.s_grid", [math.inf]),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
-        "circle-metric-without-metric-path", "negative-seed"])
+        "circle-metric-without-metric-path", "negative-seed",
+        "explicit-matrix-nan", "explicit-matrix-infinity", "s-grid-infinity"])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, key, value):
     doc = json.load(open(bundled("random_agreement.json")))
     _set_path(doc, key, value)

@@ -200,6 +200,40 @@ def test_integral_frequency_model():
     assert res.value == pytest.approx(1.0 / math.pi, abs=1e-7)
 
 
+@pytest.mark.parametrize("interpolation", ["linear", "cubic"])
+def test_batched_spectral_trace_matches_per_node_route(interpolation):
+    # oracle for the batched route: stacked evaluation equals the scalar
+    # calls bitwise, and the stacked-eigh trace equals a per-node loop
+    from sfcalc.engines import _spectral_trace
+    from sfcalc.quadrature import _NODES
+
+    rng = rng_from_seed(8100)
+    sine = CHI_PROFILES["sine"]()
+    for _ in range(4):
+        model = random_block_model(rng)
+        base = random_path(rng, model, num_samples=7)
+        path = OperatorPath(model, [(u, base.sample(j)) for j, u in enumerate(base.us)],
+                            interpolation=interpolation)
+        gauss = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _NODES
+                                for a, b in zip(path.us[:-1], path.us[1:])])
+        us = np.concatenate([gauss, path.us, [0.0, 1.0]])
+        values, slopes = path.eval(us), path.derivative(us)
+        assert values.shape == slopes.shape == (len(us), model.dim, model.dim)
+        for i, u in enumerate(us):
+            assert np.array_equal(values[i], path.eval(float(u)).mat), (interpolation, u)
+            assert np.array_equal(slopes[i], path.derivative(float(u)).mat), (interpolation, u)
+
+        for f in (lambda lam: np.exp(-2.0 * lam ** 2), sine.deriv):
+            expected = []
+            for u in us:
+                dec = eigh(path.eval(float(u)))
+                v = dec.eigenvectors
+                diag = np.einsum("ji,jk,ki->i", v.conj(), path.derivative(float(u)).mat,
+                                 v).real
+                expected.append(np.sum(dec.weights * f(dec.eigenvalues) * diag))
+            assert np.abs(_spectral_trace(path, us, f) - expected).max() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # appendix formula
 

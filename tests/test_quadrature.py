@@ -40,3 +40,27 @@ def test_panel_budget_exhaustion_carries_partial():
     with pytest.raises(NumericError) as info:
         adaptive_gauss_legendre(step, 0.0, 1.0, abs_tol=1e-13, max_panels=12)
     assert info.value.partial == pytest.approx(1.0 - 1.0 / math.pi, abs=1e-2)
+
+
+def test_non_finite_panel_fails_at_once_naming_the_panel():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    with pytest.raises(NumericError, match=r"not finite on the panel \[0\.5, 1\.0\]"):
+        adaptive_gauss_legendre(f, 0.0, 1.0, breakpoints=(0.5,))
+    assert calls == [30]  # both initial panels in one call, no bisection
+
+
+def test_bisection_evaluates_both_halves_in_one_call():
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return np.sqrt(np.abs(x - 1.0 / 3.0))
+
+    _, _, used = adaptive_gauss_legendre(f, 0.0, 1.0, abs_tol=1e-8)
+    assert sizes[0] == 15 and set(sizes[1:]) == {30}
+    assert used == 1 + 2 * (len(sizes) - 1)

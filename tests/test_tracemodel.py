@@ -14,7 +14,7 @@ from sfcalc.jacobi import jacobi_eigh
 from sfcalc.tracemodel import (AffineSymbol, BlockHermitian,
                                ClusterBoundaryWarning, FrequencyModel,
                                IndicatorSymbol, Interval, WeightedBlockModel,
-                               apply_function, eigh, freq_trace,
+                               apply_function, eigh, eigh_stack, freq_trace,
                                spectral_projection, trace)
 
 RHO = 1.0 / (2.0 * math.pi)
@@ -265,3 +265,36 @@ def test_affine_symbol_roots_and_lerp():
     assert isinstance(mid, AffineSymbol)
     assert mid.offset == 0.0
     assert mid.breakpoints() == (0.0,)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(entry):
+    model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
+    with pytest.raises(ValidationError, match="finite"):
+        BlockHermitian(model, [[entry, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("blocks", [[(1, 0.5)], [(1, math.sqrt(2.0))]],
+                         ids=["lattice", "no-lattice"])
+def test_snap_rejects_non_finite_values(blocks, raw):
+    with pytest.raises(NumericError, match="not finite"):
+        WeightedBlockModel(blocks).snap(raw)
+
+
+def test_eigh_stack_matches_eigh_per_matrix_and_checks_residuals():
+    blocks = [(2, 1.0), (3, 0.5)]
+    model = WeightedBlockModel(blocks)
+    mats = np.stack([random_block_hermitian(31 + k, blocks)[1].mat for k in range(6)])
+    parts = eigh_stack(model, mats)
+    for i, mat in enumerate(mats):
+        dec = eigh(BlockHermitian(model, mat))
+        for b, (vals, vecs) in enumerate(parts):
+            own = dec.block_index == b
+            assert np.array_equal(vals[i], dec.eigenvalues[own])
+            sl = model.block_slices[b]
+            assert np.array_equal(vecs[i], dec.eigenvectors[sl][:, own])
+    broken = mats.copy()
+    broken[4, 0, 1] += 1e-3  # not Hermitian: LAPACK reads one triangle only
+    with pytest.raises(NumericError, match="matrix 4 of 6"):
+        eigh_stack(model, broken)
