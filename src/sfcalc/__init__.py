@@ -13,10 +13,9 @@ from .apsindex import (SuspensionProblem, aps_index, assemble,
                        halfline_aps_apply_inverse,
                        perturbation_truncation_check)
 from .path import OperatorPath, concatenate, conjugate, direct_sum, reverse
-from .tracemodel import (AffineSymbol, BlockHermitian, ConstantSymbol,
-                         FrequencyModel, IndicatorSymbol, Interval,
-                         SpectralDecomposition, WeightedBlockModel,
-                         apply_function, eigh, freq_trace,
+from .tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
+                         IndicatorSymbol, Interval, SpectralDecomposition,
+                         WeightedBlockModel, apply_function, eigh, freq_trace,
                          spectral_projection, trace)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -298,18 +298,17 @@ def halfline_residual(d0, f, g, length):
 # ---------------------------------------------------------------------------
 # perturbation / truncation report
 
-def perturbation_truncation_check(d, k_path, r_start, u_points=21,
-                                  max_doublings=8, aps_grid=64,
-                                  cylinder_length=2.0, smin_floor=1e-8):
+def perturbation_truncation_check(d, k_path, r_start):
     """Spectral-truncation sweep for relatively bounded perturbations.
 
-    For R over a doubling sweep starting at ``r_start``, reports the
-    smallest singular value of  D + (1-u) K_1 + u P_R K_1 P_R  on a u-grid
-    (P_R the spectral projection of D onto [-R, R]); R passes when all of
-    them exceed ``smin_floor``.  For each passing R the truncated path
-    D + P_R K_u P_R is run through both the crossing engine and the
-    cylinder-geometry index, which must agree.
+    For R over at most 8 doublings starting at ``r_start``, reports the
+    smallest singular value of  D + (1-u) K_1 + u P_R K_1 P_R  on 21 points
+    of u (P_R the spectral projection of D onto [-R, R]); R passes when all
+    of them exceed 1e-8.  For each passing R the truncated path
+    D + P_R K_u P_R is run through both the crossing engine and the index on
+    the cylinder of length 2 with 64 intervals, which must agree.
     """
+    smin_floor = 1e-8
     from .engines import sf_crossing
 
     if not isinstance(d, BlockHermitian):
@@ -327,11 +326,11 @@ def perturbation_truncation_check(d, k_path, r_start, u_points=21,
         raise PreconditionError("D + K_1 must be invertible")
 
     norm_d = dec.op_norm
-    us = np.linspace(0.0, 1.0, u_points)
+    us = np.linspace(0.0, 1.0, 21)
     sweep = []
     minimal_r = None
     r = float(r_start)
-    for _ in range(max_doublings + 1):
+    for _ in range(9):
         proj = spectral_projection(dec, Interval.symmetric(r)).mat
         trunc_k1 = proj @ k1.mat @ proj
         t = us[:, None, None]
@@ -344,9 +343,8 @@ def perturbation_truncation_check(d, k_path, r_start, u_points=21,
                        for u in k_path.us]
             trunc_path = OperatorPath(model, samples, interpolation="linear")
             flow = sf_crossing(trunc_path)
-            prob = SuspensionProblem(path=trunc_path, grid_size=aps_grid,
-                                     geometry="cylinder",
-                                     cylinder_length=cylinder_length)
+            prob = SuspensionProblem(path=trunc_path, grid_size=64,
+                                     geometry="cylinder", cylinder_length=2.0)
             index = aps_index(prob)
             entry["sf_crossing"] = flow.value
             entry["aps_index"] = index

@@ -24,7 +24,7 @@ from .engines import CHI_PROFILES, sf_appendix, sf_crossing, sf_integral, sf_phi
 from .errors import NumericError, SfcalcError, ValidationError
 from .generators import (involution_path, random_path, rng_from_seed,
                          single_crossing_path)
-from .geometry import standard_metric_paths, trivialized_path, engine_model
+from .geometry import METRIC_PROFILES, standard_metric_paths, trivialized_path
 from .path import OperatorPath, flatten_endpoints
 from .tracemodel import AffineSymbol, BlockHermitian, FrequencyModel, WeightedBlockModel
 from .verify import SUITES, format_table, run_suite
@@ -54,15 +54,52 @@ class RunRecord:
     assertion_failures: list = field(default_factory=list)
 
 
+# Every optional scenario field with the value a run uses when it is absent;
+# the output file names default to <name>.csv and <name>.log.  Validation and
+# the run both read the scenario through _with_defaults, so validation checks
+# the values that run.
+DEFAULTS = {
+    "seed": None,
+    "engines": [],
+    "model": {"rho": 1.0 / (2.0 * math.pi), "xi_max": 50.0, "n": 16,
+              "profile": "cos_ramp"},
+    "path": {"offset_start": -1.0, "offset_end": 1.0, "num_samples": 5,
+             "interpolation": "linear", "endpoint_flat": False, "params": {}},
+    "engine_params": {"s_grid": [0.5, 2.0, 8.0], "chi": ["sine"],
+                      "window": 0.5, "min_endpoint_gap": 1e-8},
+    "aps": {"enabled": False, "M": 200, "scheme": "forward-upwind",
+            "geometry": "interval-APS", "L": None, "theta": 1e-7},
+    "assertions": {"pairwise_agreement": None, "expected_value": None,
+                   "value_tolerance": 1e-9, "aps_matches_crossing": False},
+}
+# The path.params defaults of each generator.
+GENERATOR_PARAMS = {
+    "single_crossing": {"num_samples": 9},
+    "involution": {"flatten": True},
+    "random_invertible": {"num_samples": 7},
+    "random_flat": {"num_samples": 7},
+}
+# The engines defined on the frequency model; the index is not.
+FREQUENCY_ENGINES = ("phillips", "integral")
+
+
+def _with_defaults(doc):
+    """The scenario with every absent optional field at its default."""
+    full = {**DEFAULTS, **doc}
+    for name, section in DEFAULTS.items():
+        if isinstance(section, dict):
+            full[name] = {**section, **doc.get(name, {})}
+    full["output"] = {"csv": f"{doc['name']}.csv", "log": f"{doc['name']}.log",
+                      **doc.get("output", {})}
+    path = full["path"]
+    if path["type"] == "generator":
+        path["params"] = {**GENERATOR_PARAMS[path["name"]], **path["params"]}
+    return full
+
+
 def _require(cond, message):
     if not cond:
         raise ScenarioError(message)
-
-
-def _numbers(obj, *keys):
-    """True when each of ``keys`` is absent from ``obj`` or holds a finite
-    number."""
-    return all(_finite(obj[k]) for k in keys if k in obj)
 
 
 def _finite(value):
@@ -73,12 +110,29 @@ def _finite(value):
         return False
 
 
-def _numeric_matrix(entries):
-    """True when ``entries`` is a nested list that reads as a real array."""
+def _nonnegative(value):
+    return _finite(value) and value >= 0
+
+
+def _count(value, least):
+    """True for an integer (not a bool) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _plain_file_name(name):
+    """True for a file name that stays inside the output directory."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name and "\0" not in name)
+
+
+def _numeric_matrix(entries, dim):
+    """True when ``entries`` is a nested list that reads as a real dim x dim
+    array, or a dim x dim array of [re, im] pairs."""
     try:
-        return isinstance(entries, list) and np.asarray(entries, dtype=float).ndim > 0
+        shape = np.asarray(entries, dtype=float).shape
     except (TypeError, ValueError):
         return False
+    return isinstance(entries, list) and shape in ((dim, dim), (dim, dim, 2))
 
 
 def _reject_constant(name):
@@ -111,177 +165,177 @@ def validate_scenario(doc):
              f"field 'schema' must equal {SCHEMA_VERSION}")
     _require(isinstance(doc.get("name"), str) and doc["name"],
              "field 'name' must be a nonempty string")
-    _require(doc.get("seed") is None or isinstance(doc["seed"], int) and doc["seed"] >= 0,
+    for name in ("model", "path"):
+        _require(isinstance(doc.get(name), dict) and "type" in doc[name],
+                 f"field {name!r} must be an object with a 'type'")
+    for name in ("engine_params", "aps", "assertions", "output"):
+        _require(isinstance(doc.get(name, {}), dict),
+                 f"field {name!r} must be an object")
+    path = doc["path"]
+    _require(isinstance(path.get("params", {}), dict),
+             "path.params must be an object")
+    _require(path["type"] != "generator" or isinstance(path.get("name"), str)
+             and path["name"] in GENERATOR_PARAMS,
+             f"path.name {path.get('name')!r}: unknown generator")
+    doc = _with_defaults(doc)
+    _require(doc["seed"] is None or _count(doc["seed"], 0),
              "field 'seed' must be a nonnegative integer")
-    model = doc.get("model")
-    _require(isinstance(model, dict) and "type" in model,
-             "field 'model' must be an object with a 'type'")
+
+    model = doc["model"]
     _require(model["type"] in ("weighted_blocks", "frequency", "circle_metric"),
-             f"model.type {model.get('type')!r} unknown")
+             f"model.type {model['type']!r} unknown")
     if model["type"] == "weighted_blocks":
         blocks = model.get("blocks")
         _require(isinstance(blocks, list) and blocks and all(
             isinstance(b, list) and len(b) == 2 and isinstance(b[0], int)
             and _finite(b[1]) for b in blocks),
             "model.blocks must be a nonempty list of [dim, weight] numbers")
-    _require(_numbers(model, "rho", "xi_max") and isinstance(model.get("n", 16), int)
-             and isinstance(model.get("profile", ""), str),
+    _require(_finite(model["rho"]) and _finite(model["xi_max"])
+             and isinstance(model["n"], int) and isinstance(model["profile"], str),
              "model.rho, model.xi_max must be numbers, model.n an integer, "
              "model.profile a name")
-    path = doc.get("path")
-    _require(isinstance(path, dict) and "type" in path,
-             "field 'path' must be an object with a 'type'")
-    _require(path["type"] in ("generator", "explicit", "affine_frequency",
-                              "metric_path"),
-             f"path.type {path.get('type')!r} unknown")
-    _require((model["type"] == "circle_metric") == (path["type"] == "metric_path"),
+    _require(model["type"] != "circle_metric" or model["profile"] in METRIC_PROFILES,
+             f"model.profile {model['profile']!r} unknown; "
+             f"choose from {sorted(METRIC_PROFILES)}")
+
+    path = doc["path"]
+    kind = path["type"]
+    _require(kind in ("generator", "explicit", "affine_frequency", "metric_path"),
+             f"path.type {kind!r} unknown")
+    _require((model["type"] == "circle_metric") == (kind == "metric_path"),
              "model.type 'circle_metric' and path.type 'metric_path' go together")
-    _require(_numbers(path, "offset_start", "offset_end")
-             and isinstance(path.get("num_samples", 5), int),
-             "path offsets must be numbers, path.num_samples an integer")
-    if path["type"] == "generator":
-        _require(path.get("name") in _GENERATORS,
-                 f"path.name {path.get('name')!r}: unknown generator")
-        if path.get("name").startswith("random"):
-            _require(isinstance(doc.get("seed"), int),
-                     "random generators require an integer 'seed'")
-        gen_params = path.get("params", {})
-        _require(isinstance(gen_params, dict)
-                 and isinstance(gen_params.get("num_samples", 7), int),
-                 "path.params must be an object, its num_samples an integer")
-    if path["type"] == "explicit":
+    if kind == "affine_frequency":
+        _require(model["type"] == "frequency",
+                 "affine_frequency paths need a frequency model")
+        _require(_finite(path["offset_start"]) and _finite(path["offset_end"])
+                 and _count(path["num_samples"], 2),
+                 "path offsets must be numbers, path.num_samples an integer >= 2")
+    if kind == "explicit":
+        _require(model["type"] == "weighted_blocks",
+                 "explicit paths need a weighted block model")
+        dim = sum(n for n, _ in model["blocks"])
         samples = path.get("samples")
         _require(isinstance(samples, list) and all(
             isinstance(item, dict) and _finite(item.get("u"))
-            and _numeric_matrix(item.get("matrix")) for item in samples),
-            "path.samples must be a list of {'u': number, 'matrix': numbers}")
-    engines = doc.get("engines", [])
+            and _numeric_matrix(item.get("matrix"), dim) for item in samples),
+            "path.samples must be a list of {'u': number, 'matrix': numbers}, "
+            f"each matrix {dim}x{dim} (optionally [re, im] pairs)")
+    if kind == "generator":
+        name = path["name"]
+        params = path["params"]
+        if name != "single_crossing":
+            _require(model["type"] == "weighted_blocks",
+                     f"{name} paths need a weighted block model")
+        if name.startswith("random"):
+            _require(isinstance(doc["seed"], int),
+                     "random generators require an integer 'seed'")
+        if name == "involution":
+            minus = params.get("minus_dims")
+            _require(isinstance(minus, list) and len(minus) == len(model["blocks"])
+                     and all(isinstance(m, int) for m in minus),
+                     "path.params.minus_dims must list one integer per block")
+        else:
+            _require(_count(params["num_samples"], 2),
+                     "path.params.num_samples must be an integer >= 2")
+
+    engines = doc["engines"]
     _require(isinstance(engines, list) and all(e in ENGINES for e in engines),
              f"field 'engines' must be a sublist of {ENGINES}")
-    params = doc.get("engine_params", {})
-    _require(isinstance(params, dict), "field 'engine_params' must be an object")
-    s_grid = params.get("s_grid", [1.0])
-    _require(isinstance(s_grid, list) and all(
-        _finite(s) and s > 0 for s in s_grid),
+    if kind == "affine_frequency":
+        _require(all(e in FREQUENCY_ENGINES for e in engines),
+                 f"the frequency model runs only the engines {FREQUENCY_ENGINES}")
+    params = doc["engine_params"]
+    _require(isinstance(params["s_grid"], list) and all(
+        _finite(s) and s > 0 for s in params["s_grid"]),
         "engine_params.s_grid must be a list of positive finite numbers")
-    _require(isinstance(params.get("chi", []), (str, list)) and all(
+    _require(isinstance(params["chi"], (str, list)) and all(
         isinstance(c, str) and c in CHI_PROFILES for c in _chi_list(params)),
         f"engine_params.chi must name profiles among {sorted(CHI_PROFILES)}")
-    window = params.get("window", 0.5)
-    _require(_finite(window) and window > 0,
+    _require(_finite(params["window"]) and params["window"] > 0,
              "engine_params.window must be positive")
-    _require(_numbers(params, "min_endpoint_gap"),
-             "engine_params.min_endpoint_gap must be a number")
-    asserts = doc.get("assertions", {})
-    _require(isinstance(asserts, dict) and _numbers(
-        asserts, "pairwise_agreement", "expected_value", "value_tolerance"),
-        "field 'assertions' must be an object with number tolerances")
-    output = doc.get("output", {})
-    _require(isinstance(output, dict) and all(isinstance(v, str) for v in output.values()),
-             "field 'output' must map 'csv' and 'log' to file names")
-    aps = doc.get("aps", {})
-    _require(isinstance(aps, dict), "field 'aps' must be an object")
-    if aps.get("enabled"):
-        _require(isinstance(aps.get("M", 200), int) and aps.get("M", 200) >= 16,
-                 "aps.M must be an integer >= 16")
-        _require(aps.get("scheme", "forward-upwind") in SCHEMES, "aps.scheme unknown")
-        _require(aps.get("geometry", "interval-APS") in GEOMETRIES,
-                 "aps.geometry unknown")
-        theta = aps.get("theta", 1e-7)
-        _require(_finite(theta) and theta > 0,
+    _require(_nonnegative(params["min_endpoint_gap"]),
+             "engine_params.min_endpoint_gap must be a number >= 0")
+
+    asserts = doc["assertions"]
+    _require(all(asserts[k] is None or _nonnegative(asserts[k])
+                 for k in ("pairwise_agreement", "value_tolerance"))
+             and (asserts["expected_value"] is None
+                  or _finite(asserts["expected_value"])),
+             "assertions.expected_value must be a number, the tolerances "
+             "numbers >= 0")
+    output = doc["output"]
+    _require(all(isinstance(v, str) for v in output.values())
+             and _plain_file_name(output["csv"]) and _plain_file_name(output["log"])
+             and output["csv"] != output["log"],
+             "field 'output' must map 'csv' and 'log' to two plain file names")
+
+    aps = doc["aps"]
+    if aps["enabled"]:
+        _require(kind != "affine_frequency",
+                 "the index needs a weighted block model, not the frequency model")
+        _require(_count(aps["M"], 16), "aps.M must be an integer >= 16")
+        _require(aps["scheme"] in SCHEMES, "aps.scheme unknown")
+        _require(aps["geometry"] in GEOMETRIES, "aps.geometry unknown")
+        _require(_finite(aps["theta"]) and aps["theta"] > 0,
                  "aps.theta must be positive")
-        _require(_numbers(aps, "L"), "aps.L must be a number")
+        _require(aps["L"] is None or _finite(aps["L"]) and aps["L"] > 0,
+                 "aps.L must be a positive number")
 
 
 def _chi_list(params):
-    chi = params.get("chi", ["sine"])
+    chi = params["chi"]
     return [chi] if isinstance(chi, str) else list(chi)
 
 
 # ---------------------------------------------------------------------------
 # model / path construction
 
-def _build_model(doc):
-    cfg = doc["model"]
+def _build_model(cfg):
     kind = cfg["type"]
     if kind == "weighted_blocks":
         return WeightedBlockModel([(int(n), float(w)) for n, w in cfg["blocks"]])
     if kind == "frequency":
-        return FrequencyModel(rho=float(cfg.get("rho", 1.0 / (2 * math.pi))),
-                              xi_max=float(cfg.get("xi_max", 50.0)))
-    metrics = standard_metric_paths(n=int(cfg.get("n", 16)))
-    profile = cfg.get("profile", "cos_ramp")
-    _require(profile in metrics, f"model.profile {profile!r} unknown; "
-             f"choose from {sorted(metrics)}")
-    return metrics[profile]
+        return FrequencyModel(rho=float(cfg["rho"]), xi_max=float(cfg["xi_max"]))
+    return standard_metric_paths(n=int(cfg["n"]))[cfg["profile"]]
 
 
-def _decode_matrix(entries, dim):
+def _decode_matrix(entries):
     arr = np.asarray(entries, dtype=float)
-    _require(arr.shape in ((dim, dim), (dim, dim, 2)),
-             f"explicit sample must be {dim}x{dim} (optionally [re, im] pairs)")
     if arr.ndim == 3:
-        mat = arr[..., 0] + 1j * arr[..., 1]
-    else:
-        mat = arr.astype(complex)
-    return mat
+        return arr[..., 0] + 1j * arr[..., 1]
+    return arr.astype(complex)
 
 
-_GENERATORS = ("single_crossing", "involution", "random_invertible",
-               "random_flat")
-
-
-def _build_path(doc, model, seed):
-    cfg = doc["path"]
+def _build_path(cfg, model, seed):
     kind = cfg["type"]
     if kind == "metric_path":
-        return trivialized_path(model), engine_model(model.n)
+        return trivialized_path(model)
     if kind == "affine_frequency":
-        _require(isinstance(model, FrequencyModel),
-                 "affine_frequency paths need a frequency model")
-        u0 = float(cfg.get("offset_start", -1.0))
-        u1 = float(cfg.get("offset_end", 1.0))
-        ts = np.linspace(0.0, 1.0, int(cfg.get("num_samples", 5)))
+        u0 = float(cfg["offset_start"])
+        u1 = float(cfg["offset_end"])
+        ts = np.linspace(0.0, 1.0, int(cfg["num_samples"]))
         samples = [(float(t), AffineSymbol(offset=u0 + t * (u1 - u0))) for t in ts]
-        return OperatorPath(model, samples), model
+        return OperatorPath(model, samples)
     if kind == "explicit":
-        _require(isinstance(model, WeightedBlockModel),
-                 "explicit paths need a weighted block model")
-        samples = []
-        for item in cfg.get("samples", []):
-            samples.append((float(item["u"]),
-                            BlockHermitian(model, _decode_matrix(item["matrix"],
-                                                                 model.dim))))
-        return OperatorPath(model, samples,
-                            interpolation=cfg.get("interpolation", "linear"),
-                            endpoint_flat=bool(cfg.get("endpoint_flat", False))), model
+        samples = [(float(item["u"]),
+                    BlockHermitian(model, _decode_matrix(item["matrix"])))
+                   for item in cfg["samples"]]
+        return OperatorPath(model, samples, interpolation=cfg["interpolation"],
+                            endpoint_flat=bool(cfg["endpoint_flat"]))
     # generators
     name = cfg["name"]
-    params = cfg.get("params", {})
+    params = cfg["params"]
     if name == "single_crossing":
-        path = single_crossing_path(num_samples=int(params.get("num_samples", 9)))
-        return path, path.model
+        return single_crossing_path(num_samples=params["num_samples"])
     if name == "involution":
-        _require(isinstance(model, WeightedBlockModel),
-                 "involution paths need a weighted block model")
-        minus = params.get("minus_dims")
-        _require(isinstance(minus, list) and len(minus) == len(model.blocks)
-                 and all(isinstance(m, int) for m in minus),
-                 "path.params.minus_dims must list one integer per block")
         rng = rng_from_seed(seed) if seed is not None else None
-        path, expected = involution_path(model, [int(m) for m in minus], rng=rng)
-        if params.get("flatten", True):
+        path, _ = involution_path(model, params["minus_dims"], rng=rng)
+        if params["flatten"]:
             path = flatten_endpoints(path, margin=0.12, num_samples=41)
-        return path, path.model
-    if name in ("random_invertible", "random_flat"):
-        _require(isinstance(model, WeightedBlockModel),
-                 "random paths need a weighted block model")
-        rng = rng_from_seed(seed)
-        path = random_path(rng, model,
-                           num_samples=int(params.get("num_samples", 7)),
-                           endpoint_flat=(name == "random_flat"))
-        return path, model
-    raise ScenarioError(f"unknown generator {name!r}")
+        return path
+    return random_path(rng_from_seed(seed), model,
+                       num_samples=params["num_samples"],
+                       endpoint_flat=(name == "random_flat"))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +346,7 @@ def _run_engine(name, path, params):
     results = {}
     if name == "crossing":
         t0 = time.perf_counter()
-        res = sf_crossing(path, window=float(params.get("window", 0.5)))
+        res = sf_crossing(path, window=float(params["window"]))
         ms = 1000 * (time.perf_counter() - t0)
         results["crossing"] = res
         rows.append(("crossing", "", res.value, 0.0, ms))
@@ -304,7 +358,7 @@ def _run_engine(name, path, params):
         rows.append(("phillips", "",
                      res.value, res.diagnostics.get("quadrature_error", 0.0), ms))
     elif name == "integral":
-        for s in params.get("s_grid", [0.5, 2.0, 8.0]):
+        for s in params["s_grid"]:
             t0 = time.perf_counter()
             res = sf_integral(path, float(s))
             ms = 1000 * (time.perf_counter() - t0)
@@ -316,7 +370,7 @@ def _run_engine(name, path, params):
             chi = CHI_PROFILES[chi_name]()
             t0 = time.perf_counter()
             res = sf_appendix(path, chi, rescale=True,
-                              min_endpoint_gap=float(params.get("min_endpoint_gap", 1e-8)))
+                              min_endpoint_gap=float(params["min_endpoint_gap"]))
             ms = 1000 * (time.perf_counter() - t0)
             results[f"appendix[{chi_name}]"] = res
             rows.append((f"appendix:{chi_name}", "", res.value,
@@ -330,7 +384,8 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
     Engines run one after the other; ``threads`` is accepted for callers
     written against the former thread pool and has no effect.
     """
-    seed = doc.get("seed")
+    doc = _with_defaults(doc)
+    seed = doc["seed"]
     env_seed = os.environ.get("SFCALC_SEED")
     if env_seed is not None:
         _require(env_seed.isdecimal(),
@@ -339,30 +394,28 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
     record = RunRecord(scenario=doc["name"], seed=seed)
     started = time.perf_counter()
 
-    model = _build_model(doc)
-    path, engine_model_obj = _build_path(doc, model, seed)
+    model = _build_model(doc["model"])
+    path = _build_path(doc["path"], model, seed)
 
-    params = doc.get("engine_params", {})
-    engine_names = doc.get("engines", [])
     rows = []
-    for name in engine_names:
+    for name in doc["engines"]:
         try:
-            engine_rows, results = _run_engine(name, path, params)
+            engine_rows, results = _run_engine(name, path, doc["engine_params"])
         except NumericError as exc:
             raise NumericError(f"sf_{name}: {exc}", partial=exc.partial) from exc
         rows.extend(engine_rows)
         record.engine_results.update(results)
 
-    aps_cfg = doc.get("aps", {})
-    if aps_cfg.get("enabled"):
+    aps_cfg = doc["aps"]
+    if aps_cfg["enabled"]:
         t0 = time.perf_counter()
         prob = SuspensionProblem(
             path=path,
-            grid_size=int(aps_cfg.get("M", 200)),
-            scheme=aps_cfg.get("scheme", "forward-upwind"),
-            geometry=aps_cfg.get("geometry", "interval-APS"),
-            cylinder_length=aps_cfg.get("L"),
-            kernel_threshold=float(aps_cfg.get("theta", 1e-7)),
+            grid_size=int(aps_cfg["M"]),
+            scheme=aps_cfg["scheme"],
+            geometry=aps_cfg["geometry"],
+            cylinder_length=aps_cfg["L"],
+            kernel_threshold=float(aps_cfg["theta"]),
         )
         try:
             record.aps_index = aps_index(prob)
@@ -386,23 +439,23 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
 
 
 def _check_assertions(doc, record, values, tolerance_scale):
-    asserts = doc.get("assertions", {})
+    asserts = doc["assertions"]
     failures = record.assertion_failures
-    agree_tol = asserts.get("pairwise_agreement")
+    agree_tol = asserts["pairwise_agreement"]
     if agree_tol is not None:
         tol = float(agree_tol) * tolerance_scale
         engine_vals = {k: v for k, v in values.items() if k != "aps_index"}
         for a, b, diff in record.agreement:
             if a in engine_vals and b in engine_vals and abs(diff) > tol:
                 failures.append(f"engines {a} and {b} disagree by {diff:.3e} > {tol:.1e}")
-    expected = asserts.get("expected_value")
+    expected = asserts["expected_value"]
     if expected is not None:
-        tol = float(asserts.get("value_tolerance", 1e-9)) * tolerance_scale
+        tol = float(asserts["value_tolerance"]) * tolerance_scale
         for name, val in values.items():
             if abs(val - float(expected)) > tol:
                 failures.append(
                     f"{name} = {val!r} differs from expected {expected} by more than {tol:.1e}")
-    if asserts.get("aps_matches_crossing"):
+    if asserts["aps_matches_crossing"]:
         if record.aps_index is None or "crossing" not in values:
             failures.append("aps_matches_crossing requires the crossing engine and aps.enabled")
         elif record.aps_index != values["crossing"]:
@@ -416,9 +469,7 @@ def _format_value(x):
 
 def _write_outputs(doc, record, rows, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    output = doc.get("output", {})
-    csv_name = output.get("csv", f"{doc['name']}.csv")
-    log_name = output.get("log", f"{doc['name']}.log")
+    csv_name, log_name = doc["output"]["csv"], doc["output"]["log"]
     seed_text = "" if record.seed is None else str(record.seed)
     lines = [",".join(CSV_COLUMNS)]
     for engine, s, value, err, ms in rows:

@@ -150,10 +150,7 @@ def _finalize(raw, method, model, diagnostics):
     diagnostics["raw"] = float(raw)
     value = float(raw)
     if isinstance(model, WeightedBlockModel):
-        try:
-            value = model.snap(raw)
-        except NumericError as exc:
-            raise NumericError(f"{method}: {exc}", partial=raw) from exc
+        value = model.snap(raw)
         step = model.lattice_step()
         if step is not None:
             diagnostics["lattice_step"] = step
@@ -167,8 +164,9 @@ def _min_abs_eig(dec):
     return float(np.min(np.abs(dec.eigenvalues)))
 
 
-def _refine_block_partition(path, window, max_depth):
-    """Bisect sample intervals until each step's operator motion < window.
+def _refine_block_partition(path, window):
+    """Bisect sample intervals until each step's operator motion < window,
+    at most 20 times.
 
     The operator-norm step bounds the eigenvalue motion (Weyl), so no
     eigenvalue can jump past the window unseen.
@@ -182,9 +180,9 @@ def _refine_block_partition(path, window, max_depth):
         if not bad.size:
             return us, mats, motions, depth
         depth += 1
-        if depth > max_depth:
+        if depth > 20:
             raise NumericError(
-                f"partition refinement exceeded {max_depth} bisections "
+                "partition refinement exceeded 20 bisections "
                 f"(max step motion {motions.max():.3e} vs window {window})")
         for j in reversed(bad):
             us.insert(j + 1, 0.5 * (us[j] + us[j + 1]))
@@ -212,7 +210,7 @@ def _spectral_trace(path, us, f):
 # ---------------------------------------------------------------------------
 # crossing engine
 
-def sf_crossing(path, window=0.5, max_depth=20):
+def sf_crossing(path, window=0.5):
     """Net weighted flow of eigenvalues through 0.
 
     The partition is refined until every step moves the operator by less
@@ -225,7 +223,7 @@ def sf_crossing(path, window=0.5, max_depth=20):
         raise ModelError("sf_crossing is defined on weighted block models")
     if not window > 0:
         raise DomainError("window must be positive")
-    us, mats, motions, depth = _refine_block_partition(path, window, max_depth)
+    us, mats, motions, depth = _refine_block_partition(path, window)
     decs = [eigh(BlockHermitian._trusted(path.model, m)) for m in mats]
     blocks = len(path.model.blocks)
     counts = [np.bincount(d.block_index[d.nonneg_mask()], minlength=blocks)
@@ -260,7 +258,7 @@ def _ec_block(dec_p, dec_q, model):
     return trace(q_not_p) - trace(p_not_q)
 
 
-def _ec_frequency(sym_p, sym_q, model, abs_tol):
+def _ec_frequency(sym_p, sym_q, model):
     cuts = sorted(set(sym_p.breakpoints()) | set(sym_q.breakpoints()))
 
     def integrand(xi):
@@ -270,13 +268,13 @@ def _ec_frequency(sym_p, sym_q, model, abs_tol):
 
     value, err, _ = adaptive_gauss_legendre(
         lambda xi: integrand(xi) * model.rho_values(xi),
-        -model.xi_max, model.xi_max, abs_tol=abs_tol, breakpoints=cuts)
+        -model.xi_max, model.xi_max, abs_tol=1e-10, breakpoints=cuts)
     if not math.isfinite(value):
         raise ModelError("relative-index summand is not integrable")
     return value, err
 
 
-def sf_phillips(path, abs_tol=1e-10):
+def sf_phillips(path):
     """Spectral flow as a sum of relative indices of positive projections.
 
     On both supported models every difference of nonnegative spectral
@@ -292,7 +290,7 @@ def sf_phillips(path, abs_tol=1e-10):
         err_total = 0.0
         syms = [path.eval(u) for u in us]
         for j in range(len(us) - 1):
-            val, err = _ec_frequency(syms[j], syms[j + 1], path.model, abs_tol)
+            val, err = _ec_frequency(syms[j], syms[j + 1], path.model)
             total += val
             err_total += err
         diagnostics["quadrature_error"] = err_total
@@ -354,7 +352,7 @@ def _heat_derivative_trace_frequency(path, u, s, model):
     return value
 
 
-def sf_integral(path, s, quad_tol=1e-8, max_panels=2 ** 14):
+def sf_integral(path, s, quad_tol=1e-8):
     """Heat-kernel integral formula for the spectral flow.
 
     Five terms: sqrt(s/pi) times the u-integral of the weighted trace of
@@ -374,13 +372,9 @@ def sf_integral(path, s, quad_tol=1e-8, max_panels=2 ** 14):
     else:
         def g(us):
             return _spectral_trace(path, us, lambda lam: np.exp(-s * lam ** 2))
-    try:
-        integral, quad_err, panels = adaptive_gauss_legendre(
-            g, 0.0, 1.0, abs_tol=quad_tol, max_panels=max_panels,
-            breakpoints=[float(u) for u in path.us[1:-1]])
-    except NumericError as exc:
-        raise NumericError(f"sf_integral: u-quadrature failed ({exc})",
-                           partial=exc.partial) from exc
+    integral, quad_err, panels = adaptive_gauss_legendre(
+        g, 0.0, 1.0, abs_tol=quad_tol,
+        breakpoints=[float(u) for u in path.us[1:-1]])
     integral *= prefactor
     quad_err *= prefactor
     if path.is_frequency:
@@ -412,8 +406,7 @@ def sf_integral(path, s, quad_tol=1e-8, max_panels=2 ** 14):
 # ---------------------------------------------------------------------------
 # appendix engine
 
-def sf_appendix(path, chi, rescale=False, quad_tol=1e-9, max_panels=2 ** 14,
-                min_endpoint_gap=1e-8):
+def sf_appendix(path, chi, rescale=False, min_endpoint_gap=1e-8):
     """Cutoff-function formula for paths of norm at most 1.
 
     Computes half the u-integral of the weighted trace of (dF/du) chi'(F)
@@ -447,8 +440,7 @@ def sf_appendix(path, chi, rescale=False, quad_tol=1e-9, max_panels=2 ** 14,
 
     integral, quad_err, panels = adaptive_gauss_legendre(
         lambda us: _spectral_trace(path, us, chi.deriv), 0.0, 1.0,
-        abs_tol=quad_tol, max_panels=max_panels,
-        breakpoints=[float(u) for u in path.us[1:-1]])
+        abs_tol=1e-9, breakpoints=[float(u) for u in path.us[1:-1]])
 
     def endpoint_term(dec):
         p = dec.nonneg_mask().astype(float)

@@ -21,12 +21,12 @@ def rng_from_seed(seed):
     return np.random.default_rng(int(seed))
 
 
-def random_block_model(rng, max_blocks=3, max_block_dim=4, weights=WEIGHT_CHOICES):
+def random_block_model(rng, max_blocks=3, max_block_dim=4):
     n_blocks = int(rng.integers(1, max_blocks + 1))
     blocks = []
     for _ in range(n_blocks):
         dim = int(rng.integers(1, max_block_dim + 1))
-        blocks.append((dim, float(rng.choice(weights))))
+        blocks.append((dim, float(rng.choice(WEIGHT_CHOICES))))
     return WeightedBlockModel(blocks)
 
 
@@ -46,16 +46,15 @@ def _push_away_from_zero(op, gap):
         np.abs(lam) < gap, np.where(lam >= 0, 1.0, -1.0) * gap, lam))
 
 
-def random_path(rng, model, num_samples=9, scale=1.5, wiggle=0.6,
-                endpoint_gap=0.15, endpoint_flat=False):
+def random_path(rng, model, num_samples=9, endpoint_flat=False):
     """Random Hermitian path with invertible endpoints.
 
-    Linear drift between two gap-invertible endpoints plus interior
-    Hermitian wiggles that vanish at u = 0, 1.
+    Linear drift between two endpoints of scale 1.5, pushed 0.15 away from
+    0, plus interior Hermitian wiggles of scale 0.6 that vanish at u = 0, 1.
     """
-    f0 = _push_away_from_zero(random_hermitian(rng, model, scale), endpoint_gap)
-    f1 = _push_away_from_zero(random_hermitian(rng, model, scale), endpoint_gap)
-    bumps = [random_hermitian(rng, model, wiggle) for _ in range(2)]
+    f0 = _push_away_from_zero(random_hermitian(rng, model, 1.5), 0.15)
+    f1 = _push_away_from_zero(random_hermitian(rng, model, 1.5), 0.15)
+    bumps = [random_hermitian(rng, model, 0.6) for _ in range(2)]
     us = np.linspace(0.0, 1.0, num_samples)
     samples = []
     for u in us:
@@ -70,9 +69,9 @@ def random_path(rng, model, num_samples=9, scale=1.5, wiggle=0.6,
     return path
 
 
-def scalar_linear_path(start, end, num_samples=9, weight=1.0):
+def scalar_linear_path(start, end, num_samples=9):
     """Scalar path  u -> (1 - u) start + u end  on a single unit block."""
-    model = WeightedBlockModel([(1, weight)])
+    model = WeightedBlockModel([(1, 1.0)])
     us = np.linspace(0.0, 1.0, num_samples)
     samples = [(float(u), BlockHermitian(model, [[(1 - u) * start + u * end]]))
                for u in us]
@@ -84,12 +83,13 @@ def single_crossing_path(num_samples=9):
     return scalar_linear_path(-1.0, 1.0, num_samples=num_samples)
 
 
-def involution_path(model, minus_dims, rng=None, nodes_per_leg=9):
+def involution_path(model, minus_dims, rng=None):
     """Normalization path through the identity involution.
 
     ``minus_dims[b]`` eigenvalues of block b start at -1 (the rest at +1);
     the first leg runs B_0 + 4 u P^- into the identity, the second leg stays
-    there.  The spectral flow equals the weighted trace of P^-.
+    there, each leg on 9 nodes.  The spectral flow equals the weighted trace
+    of P^-.
     """
     if len(minus_dims) != len(model.blocks):
         raise ValidationError("need one minus-dimension per block")
@@ -110,7 +110,7 @@ def involution_path(model, minus_dims, rng=None, nodes_per_leg=9):
     model_b0 = BlockHermitian(model, b0)
     model_p = BlockHermitian(model, pminus)
 
-    us = np.linspace(0.0, 1.0, nodes_per_leg)
+    us = np.linspace(0.0, 1.0, 9)
     leg1 = OperatorPath(model, [
         (float(u), BlockHermitian(model, model_b0.mat + 4.0 * (u / 2.0) * model_p.mat))
         for u in us], interpolation="linear")
@@ -122,15 +122,16 @@ def involution_path(model, minus_dims, rng=None, nodes_per_leg=9):
     return glued, expected
 
 
-def random_unitary_path(rng, model, num_samples, amplitude=0.7,
-                        endpoints_identity=True):
-    """Block-diagonal unitary path U_u = exp(i theta(u) H), theta(0) = theta(1) = 0."""
+def random_unitary_path(rng, model, num_samples, endpoints_identity=True):
+    """Block-diagonal unitary path U_u = exp(i theta(u) H) with
+    theta(u) = 0.7 sin(pi u), so theta(0) = theta(1) = 0, or 0.7 u when not
+    ``endpoints_identity``."""
     gen = random_hermitian(rng, model, 1.0)
     dec = eigh(gen)
     us = np.linspace(0.0, 1.0, num_samples)
     mats = []
     for u in us:
-        theta = amplitude * np.sin(np.pi * u) if endpoints_identity else amplitude * u
+        theta = 0.7 * np.sin(np.pi * u) if endpoints_identity else 0.7 * u
         v = dec.eigenvectors
         mats.append((v * np.exp(1j * theta * dec.eigenvalues)) @ v.conj().T)
     return mats

@@ -24,7 +24,7 @@ from .tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
 
 __all__ = ["CircleMetricPath", "SignatureOperator", "build_signature",
            "trivialization", "trivialized_path", "signature_flow_scenario",
-           "dirac_family_scenario", "standard_metric_paths"]
+           "dirac_family_scenario", "standard_metric_paths", "METRIC_PROFILES"]
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def _fourier_basis(n):
     for j in range(1, n // 2 + 1):
         cols.append(np.cos(j * grid))
         cols.append(np.sin(j * grid))
-    return grid, np.stack(cols, axis=1)
+    return np.stack(cols, axis=1)
 
 
 def _diff_matrix(n):
@@ -67,15 +67,14 @@ class CircleMetricPath:
 
     ``coeff_samples[j]`` holds the n + 1 real Fourier coefficients of
     h(u_j, .); evaluation between samples uses a C^1 cubic interpolant.
-    The path must be constant near u = 0 and u = 1.
+    The path must be constant near u = 0 and u = 1, and h at least 1e-6.
     """
 
     u_samples: np.ndarray
     coeff_samples: np.ndarray = field(repr=False)
     n: int
-    h_min: float = 1e-6
 
-    def __init__(self, u_samples, coeff_samples, n, h_min=1e-6):
+    def __init__(self, u_samples, coeff_samples, n):
         n = int(n)
         if n < 4 or n % 2:
             raise ValidationError("spatial resolution n must be an even integer >= 4")
@@ -95,14 +94,11 @@ class CircleMetricPath:
         object.__setattr__(self, "u_samples", us)
         object.__setattr__(self, "coeff_samples", coeffs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "h_min", float(h_min))
-        grid, basis = _fourier_basis(n)
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_basis", _fourier_basis(n))
         object.__setattr__(self, "_tangents", hermite_tangents(us, coeffs))
         for u in np.linspace(0.0, 1.0, 4 * us.size + 1):
             h = self.h_grid(float(u))
-            if h.min() < self.h_min:
+            if h.min() < 1e-6:
                 raise ValidationError(
                     f"conformal factor dips to {h.min():.3e} at u={u:.3f}")
 
@@ -118,36 +114,33 @@ class CircleMetricPath:
         return self._basis @ self.coefficients(u)
 
 
-def _metric_from_profile(n, num_samples, coeff_fn, margin=0.15):
-    """Sample a metric path, time-warped so it is flat near the endpoints."""
-    ts = np.linspace(0.0, 1.0, num_samples)
-    coeffs = np.stack([coeff_fn(float(flat_profile(t, margin))) for t in ts])
+# The conformal factors of the standard metric paths at time v, as
+# {Fourier coefficient index: value}.
+METRIC_PROFILES = {
+    # 1 + 0.3 v (1 - v) sin x, a loop through the flat metric
+    "loop_sin": lambda v: {0: 1.0, 2: 0.3 * v * (1.0 - v)},
+    # 1 + 0.25 v cos x + 0.1 v sin 2x
+    "cos_ramp": lambda v: {0: 1.0, 1: 0.25 * v, 4: 0.1 * v},
+    # 1 + 0.2 v cos 2x + 0.15 v^2 sin x
+    "mixed_quadratic": lambda v: {0: 1.0, 3: 0.2 * v, 2: 0.15 * v * v},
+}
+
+
+def _metric_from_profile(n, profile):
+    """Sample a metric path at 17 times, warped so it is flat near the
+    endpoints."""
+    ts = np.linspace(0.0, 1.0, 17)
+    coeffs = np.zeros((ts.size, n + 1))
+    for row, t in zip(coeffs, ts):
+        for idx, val in profile(float(flat_profile(t, 0.15))).items():
+            row[idx] = val
     return CircleMetricPath(ts, coeffs, n)
 
 
-def standard_metric_paths(n=16, num_samples=17):
-    """Three distinct endpoint-flat metric paths used by the scenarios."""
-
-    def coeffs(entries):
-        c = np.zeros(n + 1)
-        for idx, val in entries.items():
-            c[idx] = val
-        return c
-
-    def path_a(v):  # 1 + 0.3 v (1 - v) sin x, a loop through the flat metric
-        return coeffs({0: 1.0, 2: 0.3 * v * (1.0 - v)})
-
-    def path_b(v):  # 1 + 0.25 v cos x + 0.1 v sin 2x
-        return coeffs({0: 1.0, 1: 0.25 * v, 4: 0.1 * v})
-
-    def path_c(v):  # 1 + 0.2 v cos 2x + 0.15 v^2 sin x
-        return coeffs({0: 1.0, 3: 0.2 * v, 2: 0.15 * v * v})
-
-    return {
-        "loop_sin": _metric_from_profile(n, num_samples, path_a),
-        "cos_ramp": _metric_from_profile(n, num_samples, path_b),
-        "mixed_quadratic": _metric_from_profile(n, num_samples, path_c),
-    }
+def standard_metric_paths(n=16):
+    """The endpoint-flat metric paths of :data:`METRIC_PROFILES`, by name."""
+    return {name: _metric_from_profile(n, profile)
+            for name, profile in METRIC_PROFILES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +256,15 @@ def _fd4(values, delta):
     return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * delta)
 
 
-def _conjugation_residual(metric, u, s, model, delta=1e-3):
+def _conjugation_residual(metric, u, s, model):
     """| tr(dB/du e^{-sB^2}) - tr(dD/du e^{-sD^2}) | at parameter u.
 
     B is the similarity-transformed (standard-Hermitian) operator, D the
     metric-self-adjoint one; the two traces agree identically, so the
-    residual measures discretization and roundoff only.
+    residual measures discretization and roundoff only.  The u-derivatives
+    are fourth-order differences with step 1e-3.
     """
+    delta = 1e-3
     b_probe = []
     d_probe = []
     for k in (-2, -1, 1, 2):
@@ -295,13 +290,12 @@ def _conjugation_residual(metric, u, s, model, delta=1e-3):
 
 
 def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral", "appendix"),
-                            s_grid=(2.0, 4.0, 16.0, 64.0, 256.0),
-                            aps_grid=64, chi_name="sine", heat_s=None,
-                            num_cg_points=5):
+                            s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_grid=64):
     """Run the requested spectral-flow engines on the trivialized signature
-    path, compute the suspension index, and collect the heat-trace
-    diagnostics (conjugation-invariance residual, two-term bound table,
-    kernel traces, projection jumps)."""
+    path (the integral at s = 0.5, 2, 8, the appendix with the sine cutoff),
+    compute the suspension index, and collect the heat-trace diagnostics at
+    five parameters in [0.25, 0.75] (conjugation-invariance residual,
+    two-term bound table, kernel traces, projection jumps)."""
     from .apsindex import SuspensionProblem, aps_index
 
     model = engine_model(metric.n)
@@ -313,10 +307,10 @@ def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral",
     if "phillips" in engines:
         report["engines"]["phillips"] = sf_phillips(path)
     if "integral" in engines:
-        s_int = heat_s if heat_s is not None else [0.5, 2.0, 8.0]
-        report["engines"]["integral"] = {s: sf_integral(path, s) for s in s_int}
+        report["engines"]["integral"] = {s: sf_integral(path, s)
+                                         for s in [0.5, 2.0, 8.0]}
     if "appendix" in engines:
-        chi = CHI_PROFILES[chi_name]()
+        chi = CHI_PROFILES["sine"]()
         # endpoint kernels are the harmonic modes, constant along the path
         report["engines"]["appendix"] = sf_appendix(
             path, chi, rescale=True, min_endpoint_gap=0.0)
@@ -330,7 +324,7 @@ def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral",
         float(np.linalg.norm(_nonneg_projection(b).mat - _nonneg_projection(a).mat, 2))
         for a, b in zip(decs[:-1], decs[1:])]
 
-    probe_us = np.linspace(0.25, 0.75, num_cg_points)
+    probe_us = np.linspace(0.25, 0.75, 5)
     residuals = []
     s_res = s_grid[0] if s_grid else 2.0
     for u in probe_us:
@@ -361,13 +355,13 @@ def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral",
 # ---------------------------------------------------------------------------
 # frequency-model Dirac family
 
-def dirac_family_scenario(u_range=(-1.0, 1.0), rho=1.0 / (2.0 * math.pi),
-                          xi_max=50.0, num_samples=5):
-    """Shifted-symbol family xi + u over ``u_range``: nonzero spectral flow
-    with identically trivial kernels."""
+def dirac_family_scenario(u_range=(-1.0, 1.0)):
+    """Shifted-symbol family xi + u over ``u_range``, sampled at 5 points, on
+    the default frequency model: nonzero spectral flow with identically
+    trivial kernels."""
     u0, u1 = float(u_range[0]), float(u_range[1])
-    model = FrequencyModel(rho=rho, xi_max=xi_max)
-    ts = np.linspace(0.0, 1.0, num_samples)
+    model = FrequencyModel()
+    ts = np.linspace(0.0, 1.0, 5)
     samples = [(float(t), AffineSymbol(offset=u0 + t * (u1 - u0))) for t in ts]
     path = OperatorPath(model, samples, interpolation="linear")
     flow = sf_phillips(path)

@@ -3,16 +3,16 @@
 An :class:`OperatorPath` samples a family u -> F_u on [0, 1] and provides
 interpolation, differentiation, concatenation and unitary conjugation.
 Samples are either :class:`~sfcalc.tracemodel.BlockHermitian` elements or
-frequency-model symbols; interpolation is entrywise (resp. pointwise) with
-real coefficients, so interpolated values and derivatives are exactly
-Hermitian and block-diagonal and are not validated again.  Block paths
-evaluate a whole array of parameters at once into a stack of matrices.
+affine frequency-model symbols; interpolation is entrywise (resp.
+pointwise) with real coefficients, so interpolated values and derivatives
+are exactly Hermitian and block-diagonal and are not validated again.  Block
+paths evaluate a whole array of parameters at once into a stack of matrices.
 """
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .tracemodel import (BlockHermitian, FreqSymbol, FrequencyModel,
+from .tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
                          WeightedBlockModel)
 
 __all__ = ["OperatorPath", "concatenate", "conjugate", "reverse",
@@ -96,8 +96,9 @@ class OperatorPath:
         if interpolation not in ("linear", "cubic"):
             raise ValidationError(f"unknown interpolation {interpolation!r}")
         samples = [(float(u), F) for u, F in samples]
-        if len(samples) < 2:
-            raise ValidationError("a path needs at least two samples")
+        least = 3 if interpolation == "cubic" else 2
+        if len(samples) < least:
+            raise ValidationError(f"a {interpolation} path needs at least {least} samples")
         us = np.array([u for u, _ in samples])
         if us[0] != 0.0 or us[-1] != 1.0:
             raise ValidationError("path parameters must start at 0 and end at 1")
@@ -113,8 +114,8 @@ class OperatorPath:
             if interpolation == "cubic":
                 raise ValidationError("frequency paths support linear interpolation only")
             for _, F in samples:
-                if not isinstance(F, FreqSymbol):
-                    raise ValidationError("frequency-path samples must be symbols")
+                if not isinstance(F, AffineSymbol):
+                    raise ValidationError("frequency-path samples must be affine symbols")
             self._symbols = [F for _, F in samples]
             self._stack = None
         elif isinstance(model, WeightedBlockModel):
@@ -153,13 +154,13 @@ class OperatorPath:
             return self._symbols[j]
         return BlockHermitian._trusted(self.model, self._stack[j])
 
-    def _samples_equal(self, i, j, tol=1e-12):
+    def _samples_equal(self, i, j):
         if self.is_frequency:
-            probe = np.linspace(-1.0, 1.0, 7) * getattr(self.model, "xi_max", 1.0)
+            probe = np.linspace(-1.0, 1.0, 7) * self.model.xi_max
             return np.allclose(self._symbols[i](probe), self._symbols[j](probe),
-                               atol=tol, rtol=0.0)
+                               atol=1e-12, rtol=0.0)
         scale = max(1.0, np.abs(self._stack).max())
-        return np.abs(self._stack[i] - self._stack[j]).max() <= tol * scale
+        return np.abs(self._stack[i] - self._stack[j]).max() <= 1e-12 * scale
 
     # -- evaluation ---------------------------------------------------------
 
@@ -217,10 +218,9 @@ class OperatorPath:
         return self._block_result(
             u, (self._stack[j + 1] - self._stack[j]) / h[:, None, None])
 
-    def with_samples(self, new_samples, endpoint_flat=None):
-        return OperatorPath(
-            self.model, new_samples, interpolation=self.interpolation,
-            endpoint_flat=self.endpoint_flat if endpoint_flat is None else endpoint_flat)
+    def with_samples(self, new_samples):
+        return OperatorPath(self.model, new_samples, interpolation=self.interpolation,
+                            endpoint_flat=self.endpoint_flat)
 
     def max_sample_norm(self):
         if self.is_frequency:
@@ -241,7 +241,7 @@ def _same_model(ma, mb):
     return False
 
 
-def concatenate(a, b, tol=1e-10):
+def concatenate(a, b):
     """Glue two paths: a on [0, 1/2], b on [1/2, 1]."""
     if not _same_model(a.model, b.model):
         raise ValidationError("concatenate requires a common model")
@@ -255,7 +255,7 @@ def concatenate(a, b, tol=1e-10):
     else:
         mismatch = float(np.abs(end_a.mat - start_b.mat).max())
         scale = max(1.0, np.abs(end_a.mat).max())
-    if mismatch > tol * scale:
+    if mismatch > 1e-10 * scale:
         raise ValidationError(
             f"paths do not match at the splice point (gap {mismatch:.3e})")
     samples = [(u / 2.0, a.sample(j)) for j, u in enumerate(a.us)]
@@ -265,7 +265,7 @@ def concatenate(a, b, tol=1e-10):
                         endpoint_flat=flat)
 
 
-def conjugate(path, unitaries, tol=1e-10):
+def conjugate(path, unitaries):
     """Pointwise conjugation u -> U_u F_u U_u^*.
 
     ``unitaries`` is a single matrix or one matrix per sample node.
@@ -284,7 +284,7 @@ def conjugate(path, unitaries, tol=1e-10):
     for j, u in enumerate(path.us):
         U = np.asarray(mats[j], dtype=complex)
         defect = np.linalg.norm(U.conj().T @ U - eye)
-        if defect > tol * np.sqrt(n):
+        if defect > 1e-10 * np.sqrt(n):
             raise ValidationError(f"sample {j}: matrix is not unitary "
                                   f"(defect {defect:.3e})")
         samples.append((u, BlockHermitian(path.model,

@@ -25,8 +25,8 @@ __all__ = [
     "WeightedBlockModel", "BlockHermitian", "SpectralDecomposition",
     "Interval", "trace", "eigh", "eigh_stack", "spectral_projection",
     "apply_function",
-    "FrequencyModel", "FreqSymbol", "AffineSymbol", "ConstantSymbol",
-    "IndicatorSymbol", "LambdaSymbol", "freq_trace", "zero_tolerance",
+    "FrequencyModel", "FreqSymbol", "AffineSymbol", "IndicatorSymbol",
+    "freq_trace", "zero_tolerance",
     "ClusterBoundaryWarning",
 ]
 
@@ -182,7 +182,7 @@ class BlockHermitian:
     and vanishing off-block entries, up to roundoff, and stores the
     symmetrized matrix.
     Values the library builds exactly Hermitian and block-diagonal (path
-    interpolation, sums, differences, real multiples) skip the checks.
+    interpolation, real multiples) skip the checks.
     """
 
     model: WeightedBlockModel
@@ -228,22 +228,10 @@ class BlockHermitian:
         sl = self.model.block_slices[i]
         return self.mat[sl, sl]
 
-    def __add__(self, other):
-        self._check_model(other)
-        return BlockHermitian._trusted(self.model, self.mat + other.mat)
-
-    def __sub__(self, other):
-        self._check_model(other)
-        return BlockHermitian._trusted(self.model, self.mat - other.mat)
-
     def __mul__(self, scalar):
         return BlockHermitian._trusted(self.model, self.mat * float(scalar))
 
     __rmul__ = __mul__
-
-    def _check_model(self, other):
-        if other.model is not self.model and other.model.blocks != self.model.blocks:
-            raise ValidationError("operands live on different models")
 
 
 def trace(op):
@@ -281,10 +269,8 @@ class SpectralDecomposition:
     def weighted_count(self, mask):
         return float(np.sum(self.weights[np.asarray(mask, dtype=bool)]))
 
-    def kernel_mask(self, tol=None):
-        if tol is None:
-            tol = zero_tolerance(self.op_norm)
-        return np.abs(self.eigenvalues) <= tol
+    def kernel_mask(self):
+        return np.abs(self.eigenvalues) <= zero_tolerance(self.op_norm)
 
     def nonneg_mask(self):
         """Eigenvalues on the nonnegative side, the kernel cluster included.
@@ -403,18 +389,6 @@ class FreqSymbol:
         """Frequencies where the symbol (or its sign) is non-smooth."""
         return ()
 
-    def lerp(self, other, t):
-        t = float(t)
-        return LambdaSymbol(
-            lambda xi, a=self, b=other, t=t: (1 - t) * a(xi) + t * b(xi),
-            breakpoints=tuple(self.breakpoints()) + tuple(other.breakpoints()))
-
-    def diff_quotient(self, other, dt):
-        dt = float(dt)
-        return LambdaSymbol(
-            lambda xi, a=self, b=other, dt=dt: (b(xi) - a(xi)) / dt,
-            breakpoints=tuple(self.breakpoints()) + tuple(other.breakpoints()))
-
 
 @dataclass(frozen=True)
 class AffineSymbol(FreqSymbol):
@@ -436,25 +410,13 @@ class AffineSymbol(FreqSymbol):
         return () if r is None else (r,)
 
     def lerp(self, other, t):
-        if isinstance(other, AffineSymbol):
-            t = float(t)
-            return AffineSymbol(offset=(1 - t) * self.offset + t * other.offset,
-                                slope=(1 - t) * self.slope + t * other.slope)
-        return super().lerp(other, t)
+        t = float(t)
+        return AffineSymbol(offset=(1 - t) * self.offset + t * other.offset,
+                            slope=(1 - t) * self.slope + t * other.slope)
 
     def diff_quotient(self, other, dt):
-        if isinstance(other, AffineSymbol):
-            return AffineSymbol(offset=(other.offset - self.offset) / dt,
-                                slope=(other.slope - self.slope) / dt)
-        return super().diff_quotient(other, dt)
-
-
-@dataclass(frozen=True)
-class ConstantSymbol(FreqSymbol):
-    value: float
-
-    def __call__(self, xi):
-        return np.full_like(np.asarray(xi, dtype=float), self.value)
+        return AffineSymbol(offset=(other.offset - self.offset) / dt,
+                            slope=(other.slope - self.slope) / dt)
 
 
 @dataclass(frozen=True)
@@ -470,18 +432,6 @@ class IndicatorSymbol(FreqSymbol):
 
     def breakpoints(self):
         return (self.lo, self.hi)
-
-
-class LambdaSymbol(FreqSymbol):
-    def __init__(self, fn, breakpoints=()):
-        self._fn = fn
-        self._breakpoints = tuple(breakpoints)
-
-    def __call__(self, xi):
-        return np.asarray(self._fn(np.asarray(xi, dtype=float)), dtype=float)
-
-    def breakpoints(self):
-        return self._breakpoints
 
 
 @dataclass(frozen=True)
@@ -524,7 +474,7 @@ def _hint_edges(model, support_hint):
     return [lo] + interior + [hi]
 
 
-def freq_trace(model, symbol, support_hint=None, abs_tol=1e-10):
+def freq_trace(model, symbol, support_hint=None):
     """Trace of a symbol:  integral of symbol(xi) * rho(xi) over the hint.
 
     ``support_hint`` is an interval (2 numbers) or a sorted breakpoint list;
@@ -545,5 +495,5 @@ def freq_trace(model, symbol, support_hint=None, abs_tol=1e-10):
         return np.asarray(symbol(xi), dtype=float) * model.rho_values(xi)
 
     value, _, _ = adaptive_gauss_legendre(
-        integrand, lo, hi, abs_tol=abs_tol, breakpoints=sorted(cuts))
+        integrand, lo, hi, abs_tol=1e-10, breakpoints=sorted(cuts))
     return value

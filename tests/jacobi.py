@@ -1,14 +1,14 @@
 """Cyclic Jacobi eigensolver for complex Hermitian matrices.
 
 Portable reference implementation: fixed (p, q) sweep order, so the output
-is a deterministic function of the input bytes.  No library caller selects
-it; :func:`sfcalc.tracemodel.eigh` always uses LAPACK, and the test suite
-checks that against this solver block by block.
+is a deterministic function of the input bytes.  It is the test oracle for
+:func:`sfcalc.tracemodel.eigh`, which uses LAPACK and is checked against
+this solver block by block.
 """
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from sfcalc.errors import NumericError, ValidationError
 
 
 def jacobi_eigh(matrix, tol=1e-13, max_sweeps=60):

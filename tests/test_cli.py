@@ -13,6 +13,8 @@ import pytest
 import sfcalc
 from sfcalc.cli import (_scenario_dir, list_scenarios, load_scenario, main,
                         run_scenario, ScenarioError)
+from sfcalc.errors import NumericError
+from sfcalc.tracemodel import WeightedBlockModel
 
 
 def bundled(name):
@@ -240,33 +242,122 @@ def _explicit_path(entry):
                         {"u": 1.0, "matrix": np.eye(7).tolist()}]}
 
 
-@pytest.mark.parametrize("key, value", [
-    ("path.type", "metric_path"),
-    ("engine_params", [0.5, 2.0]),
-    ("aps", [True]),
-    ("model.blocks", [[2, "x"], [3, 0.5], [2, 0.25]]),
-    ("engine_params.chi", 3),
-    ("path", {"type": "explicit", "samples": [{"u": 0.0, "matrix": [["x"]]}]}),
-    ("model", {"type": "circle_metric", "n": 8}),
-    ("seed", -5),
-    ("path", _explicit_path(math.nan)),
-    ("path", _explicit_path(math.inf)),
-    ("engine_params.s_grid", [math.inf]),
+@pytest.mark.parametrize("scenario, key, value", [
+    ("random_agreement", "path.type", "metric_path"),
+    ("random_agreement", "engine_params", [0.5, 2.0]),
+    ("random_agreement", "aps", [True]),
+    ("random_agreement", "model.blocks", [[2, "x"], [3, 0.5], [2, 0.25]]),
+    ("random_agreement", "engine_params.chi", 3),
+    ("random_agreement", "path",
+     {"type": "explicit", "samples": [{"u": 0.0, "matrix": [["x"]]}]}),
+    ("random_agreement", "model", {"type": "circle_metric", "n": 8}),
+    ("random_agreement", "seed", -5),
+    ("random_agreement", "path", _explicit_path(math.nan)),
+    ("random_agreement", "path", _explicit_path(math.inf)),
+    ("random_agreement", "engine_params.s_grid", [math.inf]),
+    ("random_agreement", "path.params.num_samples", -3),
+    ("random_agreement", "path",
+     {"type": "generator", "name": "single_crossing", "params": {"num_samples": -2}}),
+    ("zsign_dirac", "path.num_samples", -2),
+    ("random_agreement", "output", {"csv": ""}),
+    ("random_agreement", "output", {"csv": "../escape.csv"}),
+    ("random_agreement", "output", lambda tmp: {"csv": str(tmp / "absolute.csv")}),
+    ("single_crossing", "aps.L", -1),
+    ("single_crossing", "assertions.value_tolerance", -1.0),
+    ("random_agreement", "engine_params.min_endpoint_gap", -1.0),
+    ("random_agreement", "output", {"csv": "same.txt", "log": "same.txt"}),
+    ("random_agreement", "output", {"log": "nul\0byte.log"}),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
         "circle-metric-without-metric-path", "negative-seed",
-        "explicit-matrix-nan", "explicit-matrix-infinity", "s-grid-infinity"])
-def test_malformed_scenario_exits_2_without_traceback(tmp_path, key, value):
-    doc = json.load(open(bundled("random_agreement.json")))
-    _set_path(doc, key, value)
+        "explicit-matrix-nan", "explicit-matrix-infinity", "s-grid-infinity",
+        "random-flat-negative-samples", "single-crossing-negative-samples",
+        "affine-frequency-negative-samples", "csv-empty-name",
+        "csv-parent-directory", "csv-absolute-path", "negative-cylinder-length",
+        "negative-value-tolerance", "negative-min-endpoint-gap",
+        "csv-and-log-same-file", "log-name-nul"])
+def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, value):
+    doc = json.load(open(bundled(f"{scenario}.json")))
+    _set_path(doc, key, value(tmp_path) if callable(value) else value)
     scen = tmp_path / "malformed.json"
     scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
     src = os.path.dirname(os.path.dirname(sfcalc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "sfcalc", "run", str(scen), "--out", str(tmp_path)],
+        [sys.executable, "-m", "sfcalc", "run", str(scen), "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("scenario error:")
+    # nothing is written outside --out
+    assert [p.name for p in tmp_path.iterdir() if p != out] == ["malformed.json"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("engines", ["phillips", "crossing"]),
+    ("engines", ["appendix"]),
+    ("aps", {"enabled": True}),
+], ids=["crossing", "appendix", "index"])
+def test_frequency_model_rejects_block_engines_at_validation(tmp_path, capsys,
+                                                            key, value):
+    doc = json.load(open(bundled("zsign_dirac.json")))
+    _set_path(doc, key, value)
+    scen = tmp_path / "frequency.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("scenario error:")
+    assert not out.exists()  # no CSV, no log
+
+
+def test_frequency_model_runs_phillips_and_integral(tmp_path):
+    doc = json.load(open(bundled("zsign_dirac.json")))
+    doc["engines"] = ["phillips", "integral"]
+    doc["engine_params"] = {"s_grid": [2.0]}
+    scen = tmp_path / "frequency.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["run", str(scen), "--out", str(tmp_path)]) == 0
+    engines = [row[1] for row in read_csv(tmp_path / "zsign_dirac.csv")[1:]]
+    assert engines == ["phillips", "integral"]
+
+
+def _failing_snap(self, raw):
+    raise NumericError("off the lattice", partial=raw)
+
+
+@pytest.mark.parametrize("engine, stage", [
+    ("crossing", "sf_crossing"), ("phillips", "sf_phillips"),
+    ("integral", "sf_integral"), ("appendix", "sf_appendix"),
+    (None, "aps_index")])
+def test_numeric_error_names_its_stage_once(tmp_path, monkeypatch, engine, stage):
+    doc = json.load(open(bundled("random_agreement.json")))
+    doc["engines"] = [engine] if engine else []
+    doc["aps"]["enabled"] = engine is None
+    doc["aps"]["M"] = 16
+    monkeypatch.setattr(WeightedBlockModel, "snap", _failing_snap)
+    with pytest.raises(NumericError) as info:
+        run_scenario(doc, out_dir=str(tmp_path))
+    assert str(info.value) == f"{stage}: off the lattice"
+    assert isinstance(info.value.partial, float)  # the raw value survives
+
+
+def test_failed_quadrature_names_the_integral_stage_once(tmp_path, monkeypatch,
+                                                         capsys):
+    def failing_quadrature(f, a, b, **kwargs):
+        raise NumericError("quadrature did not converge", partial=0.25)
+
+    monkeypatch.setattr(sfcalc.engines, "adaptive_gauss_legendre", failing_quadrature)
+    doc = json.load(open(bundled("single_crossing.json")))
+    doc["engines"] = ["integral"]
+    doc["aps"]["enabled"] = False
+    with pytest.raises(NumericError) as info:
+        run_scenario(doc, out_dir=str(tmp_path))
+    assert str(info.value) == "sf_integral: quadrature did not converge"
+    assert info.value.partial == 0.25
+    scen = tmp_path / "failing.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["run", str(scen), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error in single_crossing: sf_integral: quadrature did not converge\n")

@@ -12,7 +12,8 @@ from sfcalc.generators import (random_block_model, random_hermitian,
                                rng_from_seed, scalar_linear_path)
 from sfcalc.path import (OperatorPath, concatenate, conjugate, direct_sum,
                          flatten_endpoints, reverse)
-from sfcalc.tracemodel import BlockHermitian, WeightedBlockModel, eigh
+from sfcalc.tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
+                               IndicatorSymbol, WeightedBlockModel, eigh)
 
 
 def scalar_model():
@@ -74,6 +75,19 @@ def test_path_validation():
         OperatorPath(model, [(0.1, op), (1.0, op)])
     with pytest.raises(ValidationError):
         OperatorPath(model, [(0.0, op), (1.0, 2.0 * op)], endpoint_flat=True)
+
+
+def test_cubic_path_needs_three_samples():
+    with pytest.raises(ValidationError, match="at least 3 samples"):
+        scalar_path_from([-1.0, 1.0], interpolation="cubic")
+    assert scalar_path_from([-1.0, 0.0, 1.0], interpolation="cubic").eval(0.5).mat[0, 0] == 0.0
+
+
+def test_frequency_path_samples_are_affine_symbols():
+    model = FrequencyModel()
+    with pytest.raises(ValidationError, match="affine symbols"):
+        OperatorPath(model, [(0.0, AffineSymbol(offset=-1.0)),
+                             (1.0, IndicatorSymbol(-1.0, 1.0))])
 
 
 def test_concatenate_constant_paths():

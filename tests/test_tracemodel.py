@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sfcalc.errors import NumericError, ValidationError
-from sfcalc.jacobi import jacobi_eigh
 from sfcalc.tracemodel import (AffineSymbol, BlockHermitian,
                                ClusterBoundaryWarning, FrequencyModel,
                                IndicatorSymbol, Interval, WeightedBlockModel,
                                apply_function, eigh, eigh_stack, freq_trace,
                                spectral_projection, trace)
+
+from jacobi import jacobi_eigh
 
 RHO = 1.0 / (2.0 * math.pi)
 
