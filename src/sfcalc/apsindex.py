@@ -68,6 +68,12 @@ def _endpoint_gap(decs):
     return min(float(np.min(np.abs(dec.eigenvalues))) for dec in decs)
 
 
+def physical_memory():
+    """Bytes of physical memory, or infinity where the platform cannot say."""
+    return (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if hasattr(os, "sysconf") else math.inf)
+
+
 def _grid(prob, decs):
     """Node parameter values; cylinder nodes run beyond [0, 1].
 
@@ -86,8 +92,7 @@ def _grid(prob, decs):
     d = max(n for n, _ in prob.path.model.blocks)
     rows, cols = (m + 2 * steps) * d, (m + 2 * steps + 1) * d
     need = 3 * 16 * rows * cols
-    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-              if hasattr(os, "sysconf") else math.inf)
+    memory = physical_memory()
     if need > memory:
         raise PreconditionError(
             f"the index needs dense {rows} x {cols} complex matrices, "

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .apsindex import GEOMETRIES, SCHEMES, SuspensionProblem, aps_index
+from .apsindex import (GEOMETRIES, SCHEMES, SuspensionProblem, aps_index,
+                       physical_memory)
 from .engines import CHI_PROFILES, sf_appendix, sf_crossing, sf_integral, sf_phillips
 from .errors import NumericError, SfcalcError, ValidationError
 from .generators import (involution_path, random_path, rng_from_seed,
@@ -125,6 +126,16 @@ def _plain_file_name(name):
             and os.path.basename(name) == name and "\0" not in name)
 
 
+def _require_samples_fit(rows, dim):
+    """Refuse a path whose stacked samples, ``rows`` complex dim x dim
+    matrices, would not fit in physical memory."""
+    need, memory = 16 * rows * dim * dim, physical_memory()
+    _require(need <= memory,
+             f"the path's samples need {rows} rows of {dim} x {dim} complex "
+             f"entries, {need / 2 ** 30 if need < 2 ** 1000 else math.inf:.1f} "
+             f"GiB against {memory / 2 ** 30:.1f} GiB of physical memory")
+
+
 def _numeric_matrix(entries, dim):
     """True when ``entries`` is a nested list that reads as a real dim x dim
     array, or a dim x dim array of [re, im] pairs."""
@@ -197,6 +208,10 @@ def validate_scenario(doc):
     _require(model["type"] != "circle_metric" or model["profile"] in METRIC_PROFILES,
              f"model.profile {model['profile']!r} unknown; "
              f"choose from {sorted(METRIC_PROFILES)}")
+    if model["type"] == "circle_metric":
+        _require(model["n"] >= 4 and model["n"] % 2 == 0,
+                 "model.n must be an even integer >= 4")
+        _require_samples_fit(1, 2 * (model["n"] + 1))
 
     path = doc["path"]
     kind = path["type"]
@@ -210,6 +225,7 @@ def validate_scenario(doc):
         _require(_finite(path["offset_start"]) and _finite(path["offset_end"])
                  and _count(path["num_samples"], 2),
                  "path offsets must be numbers, path.num_samples an integer >= 2")
+        _require_samples_fit(path["num_samples"], 1)
     if kind == "explicit":
         _require(model["type"] == "weighted_blocks",
                  "explicit paths need a weighted block model")
@@ -237,6 +253,8 @@ def validate_scenario(doc):
         else:
             _require(_count(params["num_samples"], 2),
                      "path.params.num_samples must be an integer >= 2")
+        _require_samples_fit(params.get("num_samples", 1), 1 if name == "single_crossing"
+                             else sum(n for n, _ in model["blocks"]))
 
     engines = doc["engines"]
     _require(isinstance(engines, list) and all(e in ENGINES for e in engines),

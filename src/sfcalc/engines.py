@@ -14,7 +14,7 @@ nonnegative side (:meth:`SpectralDecomposition.nonneg_mask`).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .path import smoothstep
 from .quadrature import adaptive_gauss_legendre
 from .tracemodel import (BlockHermitian, FrequencyModel, FreqSymbol,
                          SpectralDecomposition, WeightedBlockModel, eigh,
-                         eigh_stack, trace)
+                         eigh_stack, trace, zero_tolerance)
 
 __all__ = ["ChiProfile", "sine_profile", "quintic_profile", "CHI_PROFILES",
            "SpectralFlowResult", "sf_crossing", "sf_phillips",
@@ -169,7 +169,9 @@ def _refine_block_partition(path, window):
     at most 20 times.
 
     The operator-norm step bounds the eigenvalue motion (Weyl), so no
-    eigenvalue can jump past the window unseen.
+    eigenvalue can jump past the window unseen.  Some half of a step moves
+    at least half as far (triangle inequality), so a motion of at least
+    window * 2**(21 - depth) cannot meet the cap and stops the refinement.
     """
     us = list(path.us)
     depth = 0
@@ -179,31 +181,52 @@ def _refine_block_partition(path, window):
         bad = np.flatnonzero(motions >= window)
         if not bad.size:
             return us, mats, motions, depth
-        depth += 1
-        if depth > 20:
+        if depth == 20 or motions.max() >= window * 2.0 ** (21 - depth):
             raise NumericError(
                 "partition refinement exceeded 20 bisections "
                 f"(max step motion {motions.max():.3e} vs window {window})")
+        depth += 1
         for j in reversed(bad):
             us.insert(j + 1, 0.5 * (us[j] + us[j + 1]))
 
 
-def _spectral_trace(path, us, f):
-    """Weighted trace of (dF/du) f(F) at each parameter in ``us`` of a block
-    path: sum_b w_b sum_k f(lambda_k) <v_k, F'(u) v_k> over the eigenpairs
-    of each block of F_u.
+# (path, entry) of the most recent block path: its endpoint decompositions
+# under "ends" and, per node array keyed by its bytes, each block's
+# (w_b, eigenvalues, Re diag(V* F' V)).  One path only: callers run the
+# engines one s and one chi at a time on a path before the next, so one
+# path is all they reuse.  Replacing the pair whole keeps calls on two
+# paths from writing into one entry.
+_memo = (None, None)
 
-    The integrand of both the heat-kernel and the cutoff formula.  The path
-    is evaluated once for all of ``us`` and each block decomposed by one
-    stacked ``eigh``.
+
+def _path_memo(path):
+    global _memo
+    held = _memo
+    if held[0] is not path:
+        held = _memo = (path, {"ends": (eigh(path.eval(0.0)), eigh(path.eval(1.0)))})
+    return held[1]
+
+
+def _spectral_trace(path, us, f, scale=1.0):
+    """Weighted trace of (dF/du) f(F) at each parameter in ``us`` of the
+    block path F / scale: sum_b w_b sum_k f(lambda_k / scale)
+    <v_k, F'(u) v_k> / scale over the eigenpairs of each block of F_u.
+
+    The integrand of both the heat-kernel and the cutoff formula.  Each node
+    array is evaluated once and each block decomposed by one stacked
+    ``eigh``, into the path's memo entry; dividing by ``scale`` = 1 is exact.
     """
-    model = path.model
-    slopes = path.derivative(us)
+    entry = _path_memo(path)
+    key = us.tobytes()
+    if key not in entry:
+        model, slopes = path.model, path.derivative(us)
+        entry[key] = [
+            (w, lam, np.sum(v.conj() * (slopes[:, sl, sl] @ v), axis=1).real)
+            for (_, w), sl, (lam, v) in zip(model.blocks, model.block_slices,
+                                            eigh_stack(model, path.eval(us)))]
     out = np.zeros(len(us))
-    for (_, w), sl, (lam, v) in zip(model.blocks, model.block_slices,
-                                    eigh_stack(model, path.eval(us))):
-        diag = np.sum(v.conj() * (slopes[:, sl, sl] @ v), axis=1).real
-        out += w * np.sum(f(lam) * diag, axis=1)
+    for w, lam, diag in entry[key]:
+        out += w * np.sum(f(lam / scale) * (diag / scale), axis=1)
     return out
 
 
@@ -224,17 +247,18 @@ def sf_crossing(path, window=0.5):
     if not window > 0:
         raise DomainError("window must be positive")
     us, mats, motions, depth = _refine_block_partition(path, window)
-    decs = [eigh(BlockHermitian._trusted(path.model, m)) for m in mats]
-    blocks = len(path.model.blocks)
-    counts = [np.bincount(d.block_index[d.nonneg_mask()], minlength=blocks)
-              for d in decs]
-    steps = [counts[j + 1] - counts[j] for j in range(len(counts) - 1)]
-    raw = path.model.weighted_sum(np.sum(steps, axis=0))
+    lams = [lam for lam, _ in eigh_stack(path.model, mats)]
+    # count per node and block as SpectralDecomposition.nonneg_mask does,
+    # with the node's kernel tolerance from its largest |eigenvalue|
+    tol = zero_tolerance(np.max([np.abs(lam).max(axis=1) for lam in lams], axis=0))
+    steps = np.diff([np.count_nonzero(lam >= -tol[:, None], axis=1) for lam in lams])
+    raw = path.model.weighted_sum(np.sum(steps, axis=1))
     diagnostics = {
         "refinement_depth": float(depth),
-        "num_steps": float(len(steps)),
+        "num_steps": float(len(us) - 1),
         "max_step_motion": float(motions.max()),
-        "min_endpoint_gap": min(_min_abs_eig(decs[0]), _min_abs_eig(decs[-1])),
+        "min_endpoint_gap": float(min(np.abs(lam[i]).min()
+                                      for lam in lams for i in (0, -1))),
         "window": float(window),
     }
     return _finalize(raw, "crossing", path.model, diagnostics)
@@ -382,8 +406,7 @@ def sf_integral(path, s, quad_tol=1e-8):
         eta0 = eta_truncated(path.eval(0.0), s, model=model)
         ker1 = ker0 = 0.0  # symbols vanish on measure-zero sets only
     else:
-        dec0 = eigh(path.eval(0.0))
-        dec1 = eigh(path.eval(1.0))
+        dec0, dec1 = _path_memo(path)["ends"]
         eta1 = eta_truncated(dec1, s)
         eta0 = eta_truncated(dec0, s)
         ker1 = dec1.weighted_count(dec1.kernel_mask())
@@ -428,18 +451,17 @@ def sf_appendix(path, chi, rescale=False, min_endpoint_gap=1e-8):
             raise PreconditionError(
                 f"path norm {max_norm:.3f} exceeds 1; pass rescale=True")
         scale = max_norm
-        path = path.with_samples(
-            [(u, (1.0 / scale) * path.sample(j)) for j, u in enumerate(path.us)])
 
-    dec0 = eigh(path.eval(0.0))
-    dec1 = eigh(path.eval(1.0))
+    # the decompositions of F / scale: eigenvalues divided, eigenvectors kept
+    dec0, dec1 = (replace(dec, eigenvalues=dec.eigenvalues / scale)
+                  for dec in _path_memo(path)["ends"])
     gap = min(_min_abs_eig(dec0), _min_abs_eig(dec1))
     if gap <= min_endpoint_gap:
         raise PreconditionError(
             f"endpoint gap {gap:.3e} at or below {min_endpoint_gap:.1e}")
 
     integral, quad_err, panels = adaptive_gauss_legendre(
-        lambda us: _spectral_trace(path, us, chi.deriv), 0.0, 1.0,
+        lambda us: _spectral_trace(path, us, chi.deriv, scale), 0.0, 1.0,
         abs_tol=1e-9, breakpoints=[float(u) for u in path.us[1:-1]])
 
     def endpoint_term(dec):

@@ -218,10 +218,6 @@ class OperatorPath:
         return self._block_result(
             u, (self._stack[j + 1] - self._stack[j]) / h[:, None, None])
 
-    def with_samples(self, new_samples):
-        return OperatorPath(self.model, new_samples, interpolation=self.interpolation,
-                            endpoint_flat=self.endpoint_flat)
-
     def max_sample_norm(self):
         if self.is_frequency:
             raise ValidationError("sample norms are not defined for symbol paths")

@@ -3,9 +3,12 @@
 Panels are bisected until the local error estimate (15-point rule on the
 whole panel against the two half panels) meets its share of the absolute
 tolerance.  Interior discontinuities or kinks must be declared up front as
-breakpoints; panels never straddle a declared breakpoint.  The integrand is
-called once per step on the nodes of every panel the step needs: once for
-the initial panels, then once per bisection for both halves.
+breakpoints; panels never straddle a declared breakpoint.  Bisection runs
+level by level: the integrand is called once on the nodes of all initial
+panels, then once per level on both halves of every panel the level
+bisects.  Acceptance depends on the panel alone and accepted panels are
+summed by descending left end, so the result is bitwise that of depth-first
+bisection popping the right half first.
 """
 
 import math
@@ -37,10 +40,11 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
                             breakpoints=()):
     """Integrate the vectorized callable ``f`` over ``[a, b]``.
 
-    Returns ``(value, error_estimate, panels_used)``.  Raises
-    :class:`NumericError` carrying the partial estimate when the panel
-    budget is exhausted before convergence, and at once, naming the panel,
-    when a panel value is not finite.
+    Returns ``(value, error_estimate, panels_used)``.  ``max_panels`` caps
+    the panels evaluated: a level that would pass it is not evaluated, and
+    a :class:`NumericError` carries the partial estimate (accepted panels
+    plus the panels still to bisect).  A panel whose value is not finite
+    stops the quadrature at once with a NumericError naming it.
     """
     if b == a:
         return 0.0, 0.0, 0
@@ -56,31 +60,35 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     min_width = 1e-14 * span
 
     initial = list(zip(edges[:-1], edges[1:]))
-    stack = [(lo, hi, value)
-             for (lo, hi), value in zip(initial, _panel_values(f, initial))]
-    used = len(stack)
-    total = 0.0
-    err_total = 0.0
+    pending = [(lo, hi, value)
+               for (lo, hi), value in zip(initial, _panel_values(f, initial))]
+    used = len(pending)
+    accepted = []   # (lo, refined, err)
+    worst = 0.0     # largest error estimate the last level rejected
 
-    while stack:
-        lo, hi, whole = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left, right = _panel_values(f, [(lo, mid), (mid, hi)])
-        used += 2
-        refined = left + right
-        err = abs(whole - refined)
-        budget = abs_tol * (hi - lo) / span
-        if err <= budget or (hi - lo) <= min_width:
-            total += refined
-            err_total += err
-            continue
-        if used >= max_panels:
-            partial = total + refined + sum(w for _, _, w in stack)
+    while pending:
+        if used + 2 * len(pending) > max_panels:
             raise NumericError(
                 "quadrature did not converge within the panel budget "
-                f"({max_panels} panels, error estimate {err:.3e})",
-                partial=partial)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, right))
+                f"({max_panels} panels, error estimate {worst:.3e})",
+                partial=sum(p[1] for p in accepted) + sum(p[2] for p in pending))
+        halves = [half for lo, hi, _ in pending
+                  for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+        values = _panel_values(f, halves)
+        used += len(halves)
+        level, pending, worst = pending, [], 0.0
+        for k, (lo, hi, whole) in enumerate(level):
+            refined = values[2 * k] + values[2 * k + 1]
+            err = abs(whole - refined)
+            if err <= abs_tol * (hi - lo) / span or (hi - lo) <= min_width:
+                accepted.append((lo, refined, err))
+            else:
+                worst = max(worst, err)
+                pending += [(*halves[j], values[j]) for j in (2 * k, 2 * k + 1)]
 
+    total = 0.0
+    err_total = 0.0
+    for _, refined, err in sorted(accepted, key=lambda p: p[0], reverse=True):
+        total += refined
+        err_total += err
     return total, err_total, used

@@ -35,8 +35,9 @@ ZERO_CLUSTER_FACTOR = 1e-9
 
 
 def zero_tolerance(op_norm):
-    """Eigenvalue magnitude below which a mode counts as kernel."""
-    return ZERO_CLUSTER_FACTOR * (1.0 + float(op_norm))
+    """Eigenvalue magnitude below which a mode counts as kernel, for an
+    operator norm or, elementwise, an array of them."""
+    return ZERO_CLUSTER_FACTOR * (1.0 + np.asarray(op_norm, dtype=float))
 
 
 class ClusterBoundaryWarning(UserWarning):
@@ -182,7 +183,7 @@ class BlockHermitian:
     and vanishing off-block entries, up to roundoff, and stores the
     symmetrized matrix.
     Values the library builds exactly Hermitian and block-diagonal (path
-    interpolation, real multiples) skip the checks.
+    interpolation) skip the checks.
     """
 
     model: WeightedBlockModel
@@ -227,11 +228,6 @@ class BlockHermitian:
     def block(self, i):
         sl = self.model.block_slices[i]
         return self.mat[sl, sl]
-
-    def __mul__(self, scalar):
-        return BlockHermitian._trusted(self.model, self.mat * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def trace(op):

@@ -171,6 +171,18 @@ def test_numeric_error_exit_code(tmp_path):
     assert main(["run", str(scen), "--out", str(tmp_path)]) == 3
 
 
+def test_unreachable_crossing_window_exits_3_at_once(tmp_path, capsys):
+    # a window no 20 bisections can reach fails before any refinement
+    doc = json.load(open(bundled("random_agreement.json")))
+    doc["engine_params"]["window"] = 1e-300
+    scen = tmp_path / "tiny_window.json"
+    scen.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "sf_crossing: partition refinement" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "nonsense"]) == 2
 
@@ -267,6 +279,10 @@ def _explicit_path(entry):
     ("random_agreement", "engine_params.min_endpoint_gap", -1.0),
     ("random_agreement", "output", {"csv": "same.txt", "log": "same.txt"}),
     ("random_agreement", "output", {"log": "nul\0byte.log"}),
+    ("random_agreement", "path.params.num_samples", 10 ** 12),
+    ("random_agreement", "model.blocks", [[10 ** 6, 1.0]]),
+    ("circle_signature", "model.n", -3),
+    ("circle_signature", "model.n", 10 ** 6),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
         "circle-metric-without-metric-path", "negative-seed",
@@ -275,7 +291,8 @@ def _explicit_path(entry):
         "affine-frequency-negative-samples", "csv-empty-name",
         "csv-parent-directory", "csv-absolute-path", "negative-cylinder-length",
         "negative-value-tolerance", "negative-min-endpoint-gap",
-        "csv-and-log-same-file", "log-name-nul"])
+        "csv-and-log-same-file", "log-name-nul", "samples-beyond-memory",
+        "block-beyond-memory", "metric-negative-n", "metric-beyond-memory"])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, value):
     doc = json.load(open(bundled(f"{scenario}.json")))
     _set_path(doc, key, value(tmp_path) if callable(value) else value)

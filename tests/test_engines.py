@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from sfcalc.engines import (CHI_PROFILES, ChiProfile, cg_bound, eta_truncated,
                             sf_appendix, sf_crossing, sf_integral, sf_phillips)
-from sfcalc.errors import (DomainError, ModelError, PreconditionError,
-                           ValidationError)
+from sfcalc.errors import (DomainError, ModelError, NumericError,
+                           PreconditionError, ValidationError)
 from sfcalc.generators import (involution_path, random_block_model,
                                random_path, random_unitary_path,
                                rng_from_seed, scalar_linear_path,
@@ -57,6 +57,50 @@ def test_crossing_zero_counts_nonnegative():
 def test_crossing_window_validation():
     with pytest.raises(DomainError):
         sf_crossing(single_crossing_path(), window=0.0)
+
+
+def test_crossing_fails_fast_when_the_window_is_out_of_reach(monkeypatch):
+    # a step that moves by m keeps a half that moves by m/2, so 20
+    # bisections cannot bring a unit motion under 1e-300: no refinement
+    original = OperatorPath.eval
+
+    def eval_unrefined(self, u):
+        assert np.size(u) == 9, "the partition was refined"
+        return original(self, u)
+
+    monkeypatch.setattr(OperatorPath, "eval", eval_unrefined)
+    with pytest.raises(NumericError, match="exceeded 20 bisections"):
+        sf_crossing(single_crossing_path(), window=1e-300)
+
+
+def test_crossing_matches_per_node_decompositions():
+    # the stacked route counts each block's nonnegative eigenvalues with the
+    # node's own kernel tolerance, as SpectralDecomposition.nonneg_mask does
+    from sfcalc.engines import _refine_block_partition
+
+    rng = rng_from_seed(8500)
+    paths = [random_path(rng, random_block_model(rng), num_samples=7)
+             for _ in range(6)]
+    model = WeightedBlockModel([(2, 0.5), (1, 1.0)])
+    paths.append(OperatorPath(model, [
+        (float(u), BlockHermitian(model, np.diag([2 * u - 1, 1e-10 * u, -u])))
+        for u in np.linspace(0.0, 1.0, 5)]))
+    # -3e-9 is negative beside norm 1e-9 and in the kernel beside norm 100
+    model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
+    paths.append(OperatorPath(model, [
+        (0.0, BlockHermitian(model, np.diag([-3e-9, 1e-9]))),
+        (1.0, BlockHermitian(model, np.diag([-3e-9, 100.0])))]))
+    for path in paths:
+        res = sf_crossing(path)
+        us, mats, _, _ = _refine_block_partition(path, 0.5)
+        decs = [eigh(BlockHermitian(path.model, m)) for m in mats]
+        counts = [np.bincount(d.block_index[d.nonneg_mask()],
+                              minlength=len(path.model.blocks)) for d in decs]
+        assert res.raw == path.model.weighted_sum(counts[-1] - counts[0])
+        assert res.diagnostics["num_steps"] == len(us) - 1
+        assert res.diagnostics["min_endpoint_gap"] == min(
+            np.abs(decs[0].eigenvalues).min(), np.abs(decs[-1].eigenvalues).min())
+    assert res.raw == 1.0
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -232,6 +276,95 @@ def test_batched_spectral_trace_matches_per_node_route(interpolation):
                                  v).real
                 expected.append(np.sum(dec.weights * f(dec.eigenvalues) * diag))
             assert np.abs(_spectral_trace(path, us, f) - expected).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the one-path spectral sample memo
+
+def _integral_calls(path):
+    """Every integral engine call a run makes on one path, each returning
+    its raw value, error estimate and panels as exact bits."""
+    def bits(result):
+        return (result.raw.hex(), result.diagnostics["quadrature_error"].hex(),
+                result.diagnostics["quadrature_panels"])
+
+    calls = [lambda s=s: bits(sf_integral(path, s)) for s in (0.5, 2.0, 8.0)]
+    calls += [lambda name=name: bits(sf_appendix(path, CHI_PROFILES[name](),
+                                                 rescale=True))
+              for name in ("sine", "quintic")]
+    return calls
+
+
+def test_engine_values_do_not_depend_on_the_memo(monkeypatch):
+    import sfcalc.engines as engines
+
+    rng = rng_from_seed(8200)
+    for interpolation in ("linear", "cubic"):
+        for _ in range(3):
+            model = random_block_model(rng)
+            base = random_path(rng, model, num_samples=7)
+            path = OperatorPath(model, [(u, base.sample(j))
+                                        for j, u in enumerate(base.us)],
+                                interpolation=interpolation)
+            calls = _integral_calls(path)
+            cold = []
+            for call in calls:  # each call on an empty memo
+                monkeypatch.setattr(engines, "_memo", (None, None))
+                cold.append(call())
+            monkeypatch.setattr(engines, "_memo", (None, None))
+            assert [call() for call in calls] == cold
+            with monkeypatch.context() as warm:  # decomposes nothing again
+                warm.setattr(engines, "eigh_stack", None)
+                warm.setattr(engines, "eigh", None)
+                assert [call() for call in calls[::-1]] == cold[::-1]
+            monkeypatch.setattr(engines, "_memo", (None, None))
+            order = [4, 1, 3, 0, 2]
+            assert [calls[k]() for k in order] == [cold[k] for k in order]
+
+
+def test_memo_holds_only_the_latest_path():
+    import gc
+    import weakref
+
+    import sfcalc.engines as engines
+
+    rng = rng_from_seed(8300)
+    first = random_path(rng, random_block_model(rng), num_samples=7)
+    second = random_path(rng, random_block_model(rng), num_samples=7)
+    sf_integral(first, 2.0)
+    assert engines._memo[0] is first
+    held = weakref.ref(first)
+    del first
+    sf_appendix(second, CHI_PROFILES["sine"](), rescale=True)
+    gc.collect()
+    assert held() is None
+    assert engines._memo[0] is second
+
+
+def test_appendix_rescale_matches_rescaled_samples():
+    rng = rng_from_seed(8400)
+    for interpolation in ("linear", "cubic"):
+        for _ in range(4):
+            model = random_block_model(rng)
+            base = random_path(rng, model, num_samples=7)
+            path = OperatorPath(model, [(u, base.sample(j))
+                                        for j, u in enumerate(base.us)],
+                                interpolation=interpolation)
+            scale = path.max_sample_norm()
+            assert scale > 1.0
+            scaled = OperatorPath(model, [
+                (u, BlockHermitian(model, path.sample(j).mat / scale))
+                for j, u in enumerate(path.us)], interpolation=interpolation)
+            for name in ("sine", "quintic"):
+                chi = CHI_PROFILES[name]()
+                got = sf_appendix(path, chi, rescale=True)
+                ref = sf_appendix(scaled, chi)
+                assert got.diagnostics["rescale_factor"] == scale
+                assert abs(got.raw - ref.raw) <= 1e-13
+                assert (got.diagnostics["quadrature_panels"]
+                        == ref.diagnostics["quadrature_panels"])
+                assert got.diagnostics["min_endpoint_gap"] == pytest.approx(
+                    ref.diagnostics["min_endpoint_gap"], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

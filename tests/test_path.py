@@ -74,7 +74,7 @@ def test_path_validation():
     with pytest.raises(ValidationError):
         OperatorPath(model, [(0.1, op), (1.0, op)])
     with pytest.raises(ValidationError):
-        OperatorPath(model, [(0.0, op), (1.0, 2.0 * op)], endpoint_flat=True)
+        OperatorPath(model, [(0.0, op), (1.0, model.zero())], endpoint_flat=True)
 
 
 def test_cubic_path_needs_three_samples():

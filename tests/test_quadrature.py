@@ -1,6 +1,7 @@
 """Adaptive quadrature: convergence, breakpoints, failure reporting."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -54,7 +55,52 @@ def test_non_finite_panel_fails_at_once_naming_the_panel():
     assert calls == [30]  # both initial panels in one call, no bisection
 
 
+def _depth_first(f, a, b, abs_tol, breakpoints=()):
+    """Reference: depth-first bisection that pops the right half first and
+    sums accepted panels as it pops them.  Returns (value, error, panels,
+    bisected) with ``bisected`` the (lo, hi) of every bisected panel."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def rule(lo, hi):
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        return 0.5 * (hi - lo) * float(weights @ np.asarray(f(x), dtype=float))
+
+    edges = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
+    stack = [(lo, hi, rule(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    used, total, err_total, bisected = len(stack), 0.0, 0.0, []
+    while stack:
+        lo, hi, whole = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = rule(lo, mid), rule(mid, hi)
+        bisected.append((lo, hi))
+        used += 2
+        err = abs(whole - (left + right))
+        if err <= abs_tol * (hi - lo) / (b - a) or (hi - lo) <= 1e-14 * (b - a):
+            total += left + right
+            err_total += err
+            continue
+        stack += [(lo, mid, left), (mid, hi, right)]
+    return total, err_total, used, bisected
+
+
+@pytest.mark.parametrize("f, breakpoints", [
+    (lambda x: np.exp(-x ** 2) * np.sin(5.0 * x), (0.25, 0.7)),
+    (lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), ()),
+    (lambda x: (x >= 0.3).astype(float) + x ** 2, (0.3,)),
+], ids=["smooth", "kinked", "breakpoint-step"])
+@pytest.mark.parametrize("abs_tol", [1e-6, 1e-9, 1e-12])
+def test_level_order_matches_depth_first_bitwise(f, breakpoints, abs_tol):
+    value, err, used = adaptive_gauss_legendre(f, 0.0, 1.0, abs_tol=abs_tol,
+                                               breakpoints=breakpoints)
+    ref_value, ref_err, ref_used, _ = _depth_first(f, 0.0, 1.0, abs_tol,
+                                                   breakpoints)
+    assert (value.hex(), err.hex(), used) == (ref_value.hex(), ref_err.hex(),
+                                              ref_used)
+
+
 def test_bisection_evaluates_both_halves_in_one_call():
+    """One call on the initial panel, then one call per level on both
+    halves of every panel that level bisects."""
     sizes = []
 
     def f(x):
@@ -62,5 +108,11 @@ def test_bisection_evaluates_both_halves_in_one_call():
         return np.sqrt(np.abs(x - 1.0 / 3.0))
 
     _, _, used = adaptive_gauss_legendre(f, 0.0, 1.0, abs_tol=1e-8)
-    assert sizes[0] == 15 and set(sizes[1:]) == {30}
-    assert used == 1 + 2 * (len(sizes) - 1)
+    calls = list(sizes)
+    _, _, _, bisected = _depth_first(f, 0.0, 1.0, 1e-8)
+    # from the single panel [0, 1], level k bisects the panels of width 2**-k
+    per_level = Counter(hi - lo for lo, hi in bisected)
+    assert len(per_level) > 3
+    assert calls == [15] + [
+        30 * per_level[w] for w in sorted(per_level, reverse=True)]
+    assert used == 1 + 2 * len(bisected)
