@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NumericError, PreconditionError, ValidationError
 from .path import OperatorPath
 from .tracemodel import (BlockHermitian, Interval, WeightedBlockModel, eigh,
+                         eigh_stack, endpoint_gap, nonneg_masks,
                          spectral_projection)
 
 __all__ = ["SuspensionProblem", "assemble", "aps_index",
@@ -57,15 +58,15 @@ class SuspensionProblem:
         if self.geometry == "interval-APS" and not self.path.endpoint_flat:
             raise ValidationError("interval-APS requires an endpoint-flat path")
         if self.geometry == "cylinder":
-            gap = _endpoint_gap([eigh(self.path.eval(u)) for u in (0.0, 1.0)])
+            gap = endpoint_gap(lam for lam, _ in _endpoint_parts(self.path))
             if gap <= 1e-8:
                 raise ValidationError(
                     f"cylinder geometry needs invertible endpoints (gap {gap:.3e})")
 
 
-def _endpoint_gap(decs):
-    """Smallest eigenvalue modulus of the endpoint operators."""
-    return min(float(np.min(np.abs(dec.eigenvalues))) for dec in decs)
+def _endpoint_parts(path):
+    """The :func:`eigh_stack` decomposition of the two endpoint operators."""
+    return eigh_stack(path.model, path.eval(np.array([0.0, 1.0])))
 
 
 def physical_memory():
@@ -74,7 +75,7 @@ def physical_memory():
             if hasattr(os, "sysconf") else math.inf)
 
 
-def _grid(prob, decs):
+def _grid(prob, parts):
     """Node parameter values; cylinder nodes run beyond [0, 1].
 
     A grid whose largest dense block would not fit in physical memory is
@@ -87,7 +88,7 @@ def _grid(prob, decs):
     if prob.geometry == "cylinder":
         length = prob.cylinder_length
         if length is None:
-            length = 4.0 / _endpoint_gap(decs)
+            length = 4.0 / endpoint_gap(lam for lam, _ in parts)
         steps = max(1, math.ceil(float(length) * m))
     d = max(n for n, _ in prob.path.model.blocks)
     rows, cols = (m + 2 * steps) * d, (m + 2 * steps + 1) * d
@@ -101,15 +102,6 @@ def _grid(prob, decs):
     if steps == 0:
         return np.linspace(0.0, 1.0, m + 1)
     return np.arange(-steps, m + steps + 1) / m
-
-
-def _boundary_bases(dec, block_index, block_slice):
-    """Orthonormal bases (negative side, nonnegative side) of one block's
-    components at a boundary node."""
-    own = dec.block_index == block_index
-    vecs = dec.eigenvectors[block_slice, :][:, own]
-    nonneg = dec.nonneg_mask()[own]
-    return vecs[:, ~nonneg], vecs[:, nonneg]
 
 
 def _fill(dm, h, sign, q_first, q_last):
@@ -146,12 +138,14 @@ def _block_matrices(prob):
     the first node, no negative ones at the last), A_adj_b is -d/du + D with
     the complementary ones.  The path is evaluated once per distinct clamped
     point: interval midpoints (forward-upwind) or nodes (implicit-midpoint,
-    which averages D over each node pair).
+    which averages D over each node pair).  The boundary bases are each
+    block's endpoint eigenvectors, split into the negative and the
+    nonnegative side by :func:`nonneg_masks`.
     """
     path = prob.path
     model = path.model
-    decs = [eigh(path.eval(0.0)), eigh(path.eval(1.0))]
-    nodes = _grid(prob, decs)
+    parts = _endpoint_parts(path)
+    nodes = _grid(prob, parts)
     h = nodes[1] - nodes[0]
     if prob.scheme == "forward-upwind":
         points = np.clip(0.5 * (nodes[:-1] + nodes[1:]), 0.0, 1.0)
@@ -159,14 +153,13 @@ def _block_matrices(prob):
         points = np.clip(nodes, 0.0, 1.0)
     distinct, where = np.unique(points, return_inverse=True)
     values = path.eval(distinct)
-    for b, sl in enumerate(model.block_slices):
+    for sl, (_, v), mask in zip(model.block_slices, parts, nonneg_masks(parts)):
         dm = values[:, sl, sl][where]
         if prob.scheme == "implicit-midpoint":
             dm = 0.5 * (dm[:-1] + dm[1:])
-        neg_first, nonneg_first = _boundary_bases(decs[0], b, sl)
-        neg_last, nonneg_last = _boundary_bases(decs[1], b, sl)
-        yield (_fill(dm, h, 1.0, neg_first, nonneg_last),
-               _fill(dm, h, -1.0, nonneg_first, neg_last))
+        (v0, v1), (m0, m1) = v, mask
+        yield (_fill(dm, h, 1.0, v0[:, ~m0], v1[:, m1]),
+               _fill(dm, h, -1.0, v0[:, m0], v1[:, ~m1]))
 
 
 def _block_diag(mats):

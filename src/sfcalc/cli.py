@@ -275,12 +275,13 @@ def validate_scenario(doc):
              "engine_params.min_endpoint_gap must be a number >= 0")
 
     asserts = doc["assertions"]
-    _require(all(asserts[k] is None or _nonnegative(asserts[k])
-                 for k in ("pairwise_agreement", "value_tolerance"))
+    _require((asserts["pairwise_agreement"] is None
+              or _nonnegative(asserts["pairwise_agreement"]))
+             and _nonnegative(asserts["value_tolerance"])
              and (asserts["expected_value"] is None
                   or _finite(asserts["expected_value"])),
              "assertions.expected_value must be a number, the tolerances "
-             "numbers >= 0")
+             "numbers >= 0 (only pairwise_agreement may be null)")
     output = doc["output"]
     _require(all(isinstance(v, str) for v in output.values())
              and _plain_file_name(output["csv"]) and _plain_file_name(output["log"])

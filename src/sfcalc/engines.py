@@ -10,7 +10,8 @@ elements:
 * ``sf_appendix``  -- cutoff-function formula for paths of norm at most 1.
 
 All engines share the convention that eigenvalue 0 belongs to the
-nonnegative side (:meth:`SpectralDecomposition.nonneg_mask`).
+nonnegative side (:meth:`SpectralDecomposition.nonneg_mask` for one matrix,
+:func:`nonneg_masks` for the stacked decompositions of :func:`eigh_stack`).
 """
 
 import math
@@ -22,9 +23,9 @@ from .errors import (DomainError, ModelError, NumericError, PreconditionError,
                      ValidationError)
 from .path import smoothstep
 from .quadrature import adaptive_gauss_legendre
-from .tracemodel import (BlockHermitian, FrequencyModel, FreqSymbol,
-                         SpectralDecomposition, WeightedBlockModel, eigh,
-                         eigh_stack, trace, zero_tolerance)
+from .tracemodel import (FrequencyModel, FreqSymbol, SpectralDecomposition,
+                         WeightedBlockModel, eigh, eigh_stack, endpoint_gap,
+                         nonneg_masks)
 
 __all__ = ["ChiProfile", "sine_profile", "quintic_profile", "CHI_PROFILES",
            "SpectralFlowResult", "sf_crossing", "sf_phillips",
@@ -160,10 +161,6 @@ def _finalize(raw, method, model, diagnostics):
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _min_abs_eig(dec):
-    return float(np.min(np.abs(dec.eigenvalues)))
-
-
 def _refine_block_partition(path, window):
     """Bisect sample intervals until each step's operator motion < window,
     at most 20 times.
@@ -173,10 +170,10 @@ def _refine_block_partition(path, window):
     at least half as far (triangle inequality), so a motion of at least
     window * 2**(21 - depth) cannot meet the cap and stops the refinement.
     """
-    us = list(path.us)
+    us = np.array(path.us, dtype=float)
     depth = 0
     while True:
-        mats = path.eval(np.array(us))
+        mats = path.eval(us)
         motions = np.linalg.norm(mats[1:] - mats[:-1], 2, axis=(1, 2))
         bad = np.flatnonzero(motions >= window)
         if not bad.size:
@@ -186,8 +183,7 @@ def _refine_block_partition(path, window):
                 "partition refinement exceeded 20 bisections "
                 f"(max step motion {motions.max():.3e} vs window {window})")
         depth += 1
-        for j in reversed(bad):
-            us.insert(j + 1, 0.5 * (us[j] + us[j + 1]))
+        us = np.insert(us, bad + 1, 0.5 * (us[bad] + us[bad + 1]))
 
 
 # (path, entry) of the most recent block path: its endpoint decompositions
@@ -247,18 +243,14 @@ def sf_crossing(path, window=0.5):
     if not window > 0:
         raise DomainError("window must be positive")
     us, mats, motions, depth = _refine_block_partition(path, window)
-    lams = [lam for lam, _ in eigh_stack(path.model, mats)]
-    # count per node and block as SpectralDecomposition.nonneg_mask does,
-    # with the node's kernel tolerance from its largest |eigenvalue|
-    tol = zero_tolerance(np.max([np.abs(lam).max(axis=1) for lam in lams], axis=0))
-    steps = np.diff([np.count_nonzero(lam >= -tol[:, None], axis=1) for lam in lams])
+    parts = eigh_stack(path.model, mats)
+    steps = np.diff([np.count_nonzero(mask, axis=1) for mask in nonneg_masks(parts)])
     raw = path.model.weighted_sum(np.sum(steps, axis=1))
     diagnostics = {
         "refinement_depth": float(depth),
         "num_steps": float(len(us) - 1),
         "max_step_motion": float(motions.max()),
-        "min_endpoint_gap": float(min(np.abs(lam[i]).min()
-                                      for lam in lams for i in (0, -1))),
+        "min_endpoint_gap": endpoint_gap(lam[[0, -1]] for lam, _ in parts),
         "window": float(window),
     }
     return _finalize(raw, "crossing", path.model, diagnostics)
@@ -266,21 +258,6 @@ def sf_crossing(path, window=0.5):
 
 # ---------------------------------------------------------------------------
 # Phillips engine
-
-def _nonneg_projection(dec):
-    """Projection onto the nonnegative side, zero cluster included."""
-    v = dec.eigenvectors[:, dec.nonneg_mask()]
-    return BlockHermitian(dec.model, v @ v.conj().T)
-
-
-def _ec_block(dec_p, dec_q, model):
-    p = _nonneg_projection(dec_p)
-    q = _nonneg_projection(dec_q)
-    eye = np.eye(model.dim)
-    q_not_p = BlockHermitian(model, q.mat @ (eye - p.mat) @ q.mat)
-    p_not_q = BlockHermitian(model, p.mat @ (eye - q.mat) @ p.mat)
-    return trace(q_not_p) - trace(p_not_q)
-
 
 def _ec_frequency(sym_p, sym_q, model):
     cuts = sorted(set(sym_p.breakpoints()) | set(sym_q.breakpoints()))
@@ -305,7 +282,10 @@ def sf_phillips(path):
     projections along the path has finite trace (finite total trace for
     block models, compactly supported symbols for the frequency model), so
     the sample nodes are an admissible partition as they stand;
-    ec(P, Q) = tr(Q(1-P)) - tr(P(1-Q)) is summed over it.
+    ec(P, Q) = tr(Q(1-P)) - tr(P(1-Q)) is summed over it.  On block models
+    the nodes are decomposed by one stacked ``eigh`` per block, and each
+    block's term w_b [tr(Q(1-P)Q) - tr(P(1-Q)P)] is formed from the
+    projections P = V diag(mask) V* of :func:`nonneg_masks`.
     """
     us = list(path.us)
     diagnostics = {"num_steps": float(len(us) - 1)}
@@ -320,12 +300,17 @@ def sf_phillips(path):
         diagnostics["quadrature_error"] = err_total
         return _finalize(total, "phillips", path.model, diagnostics)
 
-    decs = [eigh(path.eval(u)) for u in us]
-    total = math.fsum(_ec_block(decs[j], decs[j + 1], path.model)
-                      for j in range(len(us) - 1))
-    diagnostics["min_endpoint_gap"] = min(_min_abs_eig(decs[0]),
-                                          _min_abs_eig(decs[-1]))
-    return _finalize(total, "phillips", path.model, diagnostics)
+    parts = eigh_stack(path.model, path.eval(path.us))
+    terms = []
+    for (_, w), (_, v), mask in zip(path.model.blocks, parts, nonneg_masks(parts)):
+        proj = (v * mask[:, None, :]) @ v.conj().swapaxes(1, 2)
+        p, q = proj[:-1], proj[1:]
+        eye = np.eye(v.shape[1])
+        q_not_p = np.trace(q @ (eye - p) @ q, axis1=1, axis2=2).real
+        p_not_q = np.trace(p @ (eye - q) @ p, axis1=1, axis2=2).real
+        terms.extend(w * (q_not_p - p_not_q))
+    diagnostics["min_endpoint_gap"] = endpoint_gap(lam[[0, -1]] for lam, _ in parts)
+    return _finalize(math.fsum(terms), "phillips", path.model, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +440,7 @@ def sf_appendix(path, chi, rescale=False, min_endpoint_gap=1e-8):
     # the decompositions of F / scale: eigenvalues divided, eigenvectors kept
     dec0, dec1 = (replace(dec, eigenvalues=dec.eigenvalues / scale)
                   for dec in _path_memo(path)["ends"])
-    gap = min(_min_abs_eig(dec0), _min_abs_eig(dec1))
+    gap = endpoint_gap(dec.eigenvalues for dec in (dec0, dec1))
     if gap <= min_endpoint_gap:
         raise PreconditionError(
             f"endpoint gap {gap:.3e} at or below {min_endpoint_gap:.1e}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import (CHI_PROFILES, _nonneg_projection, cg_bound, sf_appendix,
-                      sf_crossing, sf_integral, sf_phillips)
+from .engines import (CHI_PROFILES, cg_bound, sf_appendix, sf_crossing,
+                      sf_integral, sf_phillips)
 from .errors import DomainError, ValidationError
 from .path import OperatorPath, flat_profile, hermite, hermite_tangents
 from .tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
@@ -320,9 +320,9 @@ def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral",
 
     decs = [eigh(path.sample(j)) for j in range(len(path.us))]
     report["kernel_traces"] = [d.weighted_count(d.kernel_mask()) for d in decs]
-    report["projection_jumps"] = [
-        float(np.linalg.norm(_nonneg_projection(b).mat - _nonneg_projection(a).mat, 2))
-        for a, b in zip(decs[:-1], decs[1:])]
+    projs = [v @ v.conj().T for v in (d.eigenvectors[:, d.nonneg_mask()] for d in decs)]
+    report["projection_jumps"] = [float(np.linalg.norm(q - p, 2))
+                                  for p, q in zip(projs[:-1], projs[1:])]
 
     probe_us = np.linspace(0.25, 0.75, 5)
     residuals = []

@@ -308,6 +308,20 @@ def eigh_stack(model, mats):
     return parts
 
 
+def nonneg_masks(parts):
+    """Per block of an :func:`eigh_stack` result, the (n, d_b) mask of
+    eigenvalues on the nonnegative side: each matrix's selection of
+    :meth:`SpectralDecomposition.nonneg_mask`, with the kernel tolerance of
+    that matrix's largest |eigenvalue| over all its blocks."""
+    tol = zero_tolerance(np.max([np.abs(lam).max(axis=1) for lam, _ in parts], axis=0))
+    return [lam >= -tol[:, None] for lam, _ in parts]
+
+
+def endpoint_gap(eigenvalues):
+    """Smallest eigenvalue modulus over arrays of endpoint eigenvalues."""
+    return float(min(np.abs(lam).min() for lam in eigenvalues))
+
+
 def eigh(op):
     """Blockwise Hermitian eigendecomposition by LAPACK, the one-matrix case
     of :func:`eigh_stack`, with eigenvalues sorted across blocks.

@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import sfcalc
 from sfcalc.cli import (_scenario_dir, list_scenarios, load_scenario, main,
@@ -236,12 +239,19 @@ def test_oversized_index_refused_up_front(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+DELETE = object()
+
+
 def _set_path(doc, key, value):
+    """Set the field at a dotted key, or remove it when ``value`` is DELETE."""
     *parents, last = key.split(".")
     target = doc
     for name in parents:
         target = target[name]
-    target[last] = value
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
 
 
 def _explicit_path(entry):
@@ -283,6 +293,7 @@ def _explicit_path(entry):
     ("random_agreement", "model.blocks", [[10 ** 6, 1.0]]),
     ("circle_signature", "model.n", -3),
     ("circle_signature", "model.n", 10 ** 6),
+    ("involution_norm", "assertions.value_tolerance", None),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
         "circle-metric-without-metric-path", "negative-seed",
@@ -292,7 +303,8 @@ def _explicit_path(entry):
         "csv-parent-directory", "csv-absolute-path", "negative-cylinder-length",
         "negative-value-tolerance", "negative-min-endpoint-gap",
         "csv-and-log-same-file", "log-name-nul", "samples-beyond-memory",
-        "block-beyond-memory", "metric-negative-n", "metric-beyond-memory"])
+        "block-beyond-memory", "metric-negative-n", "metric-beyond-memory",
+        "value-tolerance-null"])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, value):
     doc = json.load(open(bundled(f"{scenario}.json")))
     _set_path(doc, key, value(tmp_path) if callable(value) else value)
@@ -378,3 +390,44 @@ def test_failed_quadrature_names_the_integral_stage_once(tmp_path, monkeypatch,
     assert main(["run", str(scen), "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (
         "numeric error in single_crossing: sf_integral: quadrature did not converge\n")
+
+
+# ---------------------------------------------------------------------------
+# scenario fuzz
+
+def _fuzz_base(name):
+    doc = json.load(open(bundled(f"{name}.json")))
+    if name == "random_agreement":
+        doc["aps"]["M"] = 16
+    return doc
+
+
+def _field_keys(doc, prefix=""):
+    """Dotted keys of every field of a document, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _field_keys(value, f"{prefix}{key}.")
+
+
+FUZZ_FIELDS = [(name, key) for name in ("zsign_dirac", "involution_norm",
+                                        "random_agreement")
+               for key in _field_keys(_fuzz_base(name))]
+FUZZ_VALUES = (None, True, 0, -1, 1.5, 1e300, "", "x", [], {}, [[1, 1.0]], DELETE)
+
+
+@seed(8800)
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+@example(field=("involution_norm", "assertions.value_tolerance"), value=None)
+def test_scenario_fuzz_exits_with_a_documented_code(field, value):
+    # one field set to an odd value or deleted: sfcalc run answers with an
+    # exit code, never with an exception
+    name, key = field
+    doc = _fuzz_base(name)
+    _set_path(doc, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = os.path.join(tmp, "fuzz.json")
+        with open(scen, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["run", scen, "--out", os.path.join(tmp, "out")]) in (0, 1, 2, 3)

@@ -18,7 +18,7 @@ from sfcalc.generators import (involution_path, random_block_model,
                                single_crossing_path)
 from sfcalc.path import OperatorPath, conjugate, direct_sum, reparametrize, reverse
 from sfcalc.tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
-                               WeightedBlockModel, eigh)
+                               WeightedBlockModel, eigh, trace)
 
 RHO = 1.0 / (2.0 * math.pi)
 
@@ -73,6 +73,20 @@ def test_crossing_fails_fast_when_the_window_is_out_of_reach(monkeypatch):
         sf_crossing(single_crossing_path(), window=1e-300)
 
 
+def _near_kernel_paths():
+    """Two block paths with eigenvalues within the kernel tolerance of 0."""
+    model = WeightedBlockModel([(2, 0.5), (1, 1.0)])
+    tiny = OperatorPath(model, [
+        (float(u), BlockHermitian(model, np.diag([2 * u - 1, 1e-10 * u, -u])))
+        for u in np.linspace(0.0, 1.0, 5)])
+    # -3e-9 is negative beside norm 1e-9 and in the kernel beside norm 100
+    model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
+    tolerance_moves = OperatorPath(model, [
+        (0.0, BlockHermitian(model, np.diag([-3e-9, 1e-9]))),
+        (1.0, BlockHermitian(model, np.diag([-3e-9, 100.0])))])
+    return [tiny, tolerance_moves]
+
+
 def test_crossing_matches_per_node_decompositions():
     # the stacked route counts each block's nonnegative eigenvalues with the
     # node's own kernel tolerance, as SpectralDecomposition.nonneg_mask does
@@ -81,15 +95,7 @@ def test_crossing_matches_per_node_decompositions():
     rng = rng_from_seed(8500)
     paths = [random_path(rng, random_block_model(rng), num_samples=7)
              for _ in range(6)]
-    model = WeightedBlockModel([(2, 0.5), (1, 1.0)])
-    paths.append(OperatorPath(model, [
-        (float(u), BlockHermitian(model, np.diag([2 * u - 1, 1e-10 * u, -u])))
-        for u in np.linspace(0.0, 1.0, 5)]))
-    # -3e-9 is negative beside norm 1e-9 and in the kernel beside norm 100
-    model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
-    paths.append(OperatorPath(model, [
-        (0.0, BlockHermitian(model, np.diag([-3e-9, 1e-9]))),
-        (1.0, BlockHermitian(model, np.diag([-3e-9, 100.0])))]))
+    paths += _near_kernel_paths()
     for path in paths:
         res = sf_crossing(path)
         us, mats, _, _ = _refine_block_partition(path, 0.5)
@@ -101,6 +107,33 @@ def test_crossing_matches_per_node_decompositions():
         assert res.diagnostics["min_endpoint_gap"] == min(
             np.abs(decs[0].eigenvalues).min(), np.abs(decs[-1].eigenvalues).min())
     assert res.raw == 1.0
+
+
+def _refine_by_list_insert(path, window):
+    """Reference refinement: the partition bisected level by level, each
+    midpoint put in by its own list.insert."""
+    us = list(path.us)
+    while True:
+        mats = path.eval(np.array(us))
+        motions = np.linalg.norm(mats[1:] - mats[:-1], 2, axis=(1, 2))
+        bad = np.flatnonzero(motions >= window)
+        if not bad.size:
+            return np.array(us)
+        for j in reversed(bad):
+            us.insert(j + 1, 0.5 * (us[j] + us[j + 1]))
+
+
+def test_refinement_inserts_midpoints_as_the_per_midpoint_loop():
+    from sfcalc.engines import _refine_block_partition
+
+    rng = rng_from_seed(8600)
+    for path, window in [(random_path(rng, random_block_model(rng), num_samples=7), 1e-2),
+                         (single_crossing_path(), 1e-4)]:
+        us, mats, _, depth = _refine_block_partition(path, window)
+        expected = _refine_by_list_insert(path, window)
+        assert depth > 0
+        assert us.tobytes() == expected.tobytes()
+        assert mats.tobytes() == path.eval(expected).tobytes()
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -124,6 +157,46 @@ def test_phillips_frequency_dirac_family():
 def test_phillips_constant_path():
     res = sf_phillips(scalar_linear_path(0.5, 0.5))
     assert res.value == 0.0
+
+
+def _phillips_per_node(path):
+    """Reference Phillips sum on a block path: one eigh per sample node and
+    the dense projection formula on checked operators.  Returns the raw sum
+    and the endpoint gap."""
+    model = path.model
+    decs = [eigh(path.eval(float(u))) for u in path.us]
+
+    def projection(dec):
+        v = dec.eigenvectors[:, dec.nonneg_mask()]
+        return BlockHermitian(model, v @ v.conj().T).mat
+
+    eye = np.eye(model.dim)
+    terms = []
+    for a, b in zip(decs[:-1], decs[1:]):
+        p, q = projection(a), projection(b)
+        terms.append(trace(BlockHermitian(model, q @ (eye - p) @ q))
+                     - trace(BlockHermitian(model, p @ (eye - q) @ p)))
+    gap = min(float(np.abs(dec.eigenvalues).min()) for dec in (decs[0], decs[-1]))
+    return math.fsum(terms), gap
+
+
+def test_phillips_matches_per_node_route():
+    rng = rng_from_seed(8700)
+    paths = []
+    for i in range(12):
+        model = random_block_model(rng)
+        base = random_path(rng, model, num_samples=7)
+        paths.append(OperatorPath(
+            model, [(u, base.sample(j)) for j, u in enumerate(base.us)],
+            interpolation=("linear", "cubic")[i % 2]))
+    paths += _near_kernel_paths()
+    for path in paths:
+        res = sf_phillips(path)
+        raw, gap = _phillips_per_node(path)
+        assert res.value == path.model.snap(raw)
+        assert abs(res.raw - raw) <= 1e-12
+        assert res.diagnostics["min_endpoint_gap"] == gap
+    assert res.value == 1.0
 
 
 def test_phillips_matches_crossing_on_random_paths():

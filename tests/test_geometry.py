@@ -118,6 +118,10 @@ def test_signature_scenario_full_report_small():
     assert report["conjugation_residual"] < 1e-8
     assert report["lhs_monotone_decreasing"]
     assert all(k == 2.0 for k in report["kernel_traces"])
+    # ||P - Q||_2 <= 1 for orthogonal projections, one jump per sample step
+    jumps = report["projection_jumps"]
+    assert len(jumps) == len(trivialized_path(metric).us) - 1
+    assert all(0.0 <= j <= 1.0 for j in jumps)
 
 
 def test_aps_index_stable_under_grid_doubling_for_signature():
