@@ -9,7 +9,7 @@ from singular values, per ambient block, and weighted by the block traces.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,12 @@ def _grid(prob, parts):
         length = prob.cylinder_length
         if length is None:
             length = 4.0 / endpoint_gap(lam for lam, _ in parts)
-        steps = max(1, math.ceil(float(length) * m))
+        steps = float(length) * m
+        if not steps < 2.0 ** 60:  # beyond any memory, and beyond the float range
+            raise PreconditionError(
+                f"a cylinder of length {length:g} needs {steps:g} grid intervals "
+                f"on each side at grid size {m}; reduce the cylinder length")
+        steps = max(1, math.ceil(steps))
     d = max(n for n, _ in prob.path.model.blocks)
     rows, cols = (m + 2 * steps) * d, (m + 2 * steps + 1) * d
     need = 3 * 16 * rows * cols
@@ -201,28 +206,19 @@ def _kernel_dim(mat, theta):
     return mat.shape[1] - int(np.sum(sigma >= cut))
 
 
-def aps_index(prob, check_stability=False):
+def aps_index(prob):
     """Trace-weighted index of the suspension operator.
 
     Weighted kernel dimension of A minus that of A_adj, both detected by
     singular values below ``kernel_threshold`` times the largest one, and
     snapped to the weight lattice as the engine values are.  The blocks are
-    assembled and checked one at a time.  With ``check_stability`` the
-    computation is repeated on the doubled grid and the two indices must
-    agree.
+    assembled and checked one at a time.
     """
     theta = prob.kernel_threshold
     counts = [_kernel_dim(a, theta) - _kernel_dim(adj, theta)
               for a, adj in _block_matrices(prob)]
     model = prob.path.model
-    total = model.snap(model.weighted_sum(counts))
-    if check_stability:
-        again = aps_index(replace(prob, grid_size=2 * prob.grid_size))
-        if abs(again - total) > 1e-9:
-            raise NumericError(
-                f"index unstable under grid doubling: {total} vs {again}",
-                partial=(total, again))
-    return total
+    return model.snap(model.weighted_sum(counts))
 
 
 # ---------------------------------------------------------------------------

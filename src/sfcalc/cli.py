@@ -48,76 +48,129 @@ class RunRecord:
     engine_results: dict = field(default_factory=dict)
     aps_index: float = None
     agreement: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
     wall_clock: float = 0.0
     version: str = __version__
     seed: object = None
     assertion_failures: list = field(default_factory=list)
 
 
-# Every optional scenario field with the value a run uses when it is absent;
-# the output file names default to <name>.csv and <name>.log.  Validation and
-# the run both read the scenario through _with_defaults, so validation checks
-# the values that run.
-DEFAULTS = {
-    "seed": None,
-    "engines": [],
-    "model": {"rho": 1.0 / (2.0 * math.pi), "xi_max": 50.0, "n": 16,
-              "profile": "cos_ramp"},
-    "path": {"offset_start": -1.0, "offset_end": 1.0, "num_samples": 5,
-             "interpolation": "linear", "endpoint_flat": False, "params": {}},
-    "engine_params": {"s_grid": [0.5, 2.0, 8.0], "chi": ["sine"],
-                      "window": 0.5, "min_endpoint_gap": 1e-8},
-    "aps": {"enabled": False, "M": 200, "scheme": "forward-upwind",
-            "geometry": "interval-APS", "L": None, "theta": 1e-7},
-    "assertions": {"pairwise_agreement": None, "expected_value": None,
-                   "value_tolerance": 1e-9, "aps_matches_crossing": False},
+def _rule(text, test):
+    """A check of one field value: ``test(value)`` is False on bad input and
+    never raises, and ``test.text`` ends the sentence "<field> must be ..."."""
+    test.text = text
+    return test
+
+
+def _is_number(value):
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _integer(least):
+    return _rule(f"an integer >= {least}", lambda v: isinstance(v, int)
+                 and not isinstance(v, bool) and v >= least)
+
+
+def _one_of(names):
+    names = tuple(sorted(names))
+    return _rule(f"one of {', '.join(names)}",
+                 lambda v: isinstance(v, str) and v in names)
+
+
+def _optional(rule):
+    return _rule(f"null or {rule.text}", lambda v: v is None or rule(v))
+
+
+def _list_of(rule):
+    return _rule(f"a list, each item {rule.text}",
+                 lambda v: isinstance(v, list) and all(rule(x) for x in v))
+
+
+_NUMBER = _rule("a finite number", _is_number)
+_POSITIVE = _rule("a positive number", lambda v: _is_number(v) and v > 0)
+_NONNEGATIVE = _rule("a number >= 0", lambda v: _is_number(v) and v >= 0)
+_BOOLEAN = _rule("true or false", lambda v: isinstance(v, bool))
+
+# Every optional scenario field as (value a run uses when it is absent, rule);
+# a nested dict is a section of the document.  path.params takes its fields
+# from GENERATOR_PARAMS for the path's generator, and the output file names
+# default to <name>.csv and <name>.log.  Validation and the run both read the
+# scenario through _with_defaults, so validation checks the values that run.
+FIELDS = {
+    "seed": (None, _optional(_integer(0))),
+    "engines": ([], _list_of(_one_of(ENGINES))),
+    "model": {"rho": (1.0 / (2.0 * math.pi), _NONNEGATIVE),
+              "xi_max": (50.0, _POSITIVE), "n": (16, _integer(4)),
+              "profile": ("cos_ramp", _one_of(METRIC_PROFILES))},
+    "path": {"offset_start": (-1.0, _NUMBER), "offset_end": (1.0, _NUMBER),
+             "num_samples": (5, _integer(2)),
+             "interpolation": ("linear", _one_of(("linear", "cubic"))),
+             "endpoint_flat": (False, _BOOLEAN), "params": {}},
+    "engine_params": {"s_grid": ([0.5, 2.0, 8.0], _list_of(_POSITIVE)),
+                      "chi": (["sine"], _list_of(_one_of(CHI_PROFILES))),
+                      "window": (0.5, _POSITIVE),
+                      "min_endpoint_gap": (1e-8, _NONNEGATIVE)},
+    "aps": {"enabled": (False, _BOOLEAN), "M": (200, _integer(16)),
+            "scheme": ("forward-upwind", _one_of(SCHEMES)),
+            "geometry": ("interval-APS", _one_of(GEOMETRIES)),
+            "L": (None, _optional(_POSITIVE)), "theta": (1e-7, _POSITIVE)},
+    "assertions": {"pairwise_agreement": (None, _optional(_NONNEGATIVE)),
+                   "expected_value": (None, _optional(_NUMBER)),
+                   "value_tolerance": (1e-9, _NONNEGATIVE),
+                   "aps_matches_crossing": (False, _BOOLEAN)},
 }
-# The path.params defaults of each generator.
+# The path.params fields of each generator, in the shape of FIELDS.
 GENERATOR_PARAMS = {
-    "single_crossing": {"num_samples": 9},
-    "involution": {"flatten": True},
-    "random_invertible": {"num_samples": 7},
-    "random_flat": {"num_samples": 7},
+    "single_crossing": {"num_samples": (9, _integer(2))},
+    "involution": {"flatten": (True, _BOOLEAN)},
+    "random_invertible": {"num_samples": (7, _integer(2))},
+    "random_flat": {"num_samples": (7, _integer(2))},
 }
 # The engines defined on the frequency model; the index is not.
 FREQUENCY_ENGINES = ("phillips", "integral")
 
 
+def _defaults(fields, given, prefix=""):
+    """``given`` with every absent field of ``fields`` at its default; a
+    section that is not an object is refused."""
+    full = dict(given)
+    for key, entry in fields.items():
+        if isinstance(entry, dict):
+            section = given.get(key, {})
+            _require(isinstance(section, dict), f"{prefix}{key} must be an object")
+            full[key] = _defaults(entry, section, f"{prefix}{key}.")
+        elif key not in given:
+            full[key] = entry[0]
+    return full
+
+
 def _with_defaults(doc):
     """The scenario with every absent optional field at its default."""
-    full = {**DEFAULTS, **doc}
-    for name, section in DEFAULTS.items():
-        if isinstance(section, dict):
-            full[name] = {**section, **doc.get(name, {})}
+    full = _defaults(FIELDS, doc)
     full["output"] = {"csv": f"{doc['name']}.csv", "log": f"{doc['name']}.log",
                       **doc.get("output", {})}
     path = full["path"]
     if path["type"] == "generator":
-        path["params"] = {**GENERATOR_PARAMS[path["name"]], **path["params"]}
+        path["params"] = _defaults(GENERATOR_PARAMS[path["name"]], path["params"])
     return full
+
+
+def _check_fields(fields, values, prefix=""):
+    """Refuse the first value that fails its rule in ``fields``."""
+    for key, entry in fields.items():
+        if isinstance(entry, dict):
+            _check_fields(entry, values[key], f"{prefix}{key}.")
+        else:
+            rule = entry[1]
+            _require(rule(values[key]), f"{prefix}{key} must be {rule.text}")
 
 
 def _require(cond, message):
     if not cond:
         raise ScenarioError(message)
-
-
-def _finite(value):
-    """True for an int or a float that is a finite float."""
-    try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _nonnegative(value):
-    return _finite(value) and value >= 0
-
-
-def _count(value, least):
-    """True for an integer (not a bool) of at least ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _plain_file_name(name):
@@ -137,33 +190,33 @@ def _require_samples_fit(rows, dim):
 
 
 def _numeric_matrix(entries, dim):
-    """True when ``entries`` is a nested list that reads as a real dim x dim
-    array, or a dim x dim array of [re, im] pairs."""
+    """True when ``entries`` is a nested list of numbers that reads as a real
+    dim x dim array, or a dim x dim array of [re, im] pairs."""
     try:
-        shape = np.asarray(entries, dtype=float).shape
-    except (TypeError, ValueError):
+        cells = np.asarray(entries, dtype=object)
+    except ValueError:
         return False
-    return isinstance(entries, list) and shape in ((dim, dim), (dim, dim, 2))
-
-
-def _reject_constant(name):
-    raise ScenarioError(f"non-finite number {name} is not allowed")
+    return (isinstance(entries, list) and cells.shape in ((dim, dim), (dim, dim, 2))
+            and all(_is_number(x) for x in cells.flat))
 
 
 def _finite_float(text):
+    """A JSON number or constant; NaN, infinities and overflows are refused."""
     value = float(text)
     if not math.isfinite(value):
-        raise ScenarioError(f"number {text} is out of range")
+        raise ScenarioError(f"non-finite number {text} is not allowed")
     return value
 
 
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant,
+            doc = json.load(fh, parse_constant=_finite_float,
                             parse_float=_finite_float)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}")
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     validate_scenario(doc)
@@ -172,25 +225,22 @@ def load_scenario(path):
 
 def validate_scenario(doc):
     _require(isinstance(doc, dict), "scenario must be a JSON object")
-    _require(doc.get("schema") == SCHEMA_VERSION,
-             f"field 'schema' must equal {SCHEMA_VERSION}")
+    _require(type(doc.get("schema")) is int and doc["schema"] == SCHEMA_VERSION,
+             f"field 'schema' must be the integer {SCHEMA_VERSION}")
     _require(isinstance(doc.get("name"), str) and doc["name"],
              "field 'name' must be a nonempty string")
     for name in ("model", "path"):
         _require(isinstance(doc.get(name), dict) and "type" in doc[name],
                  f"field {name!r} must be an object with a 'type'")
-    for name in ("engine_params", "aps", "assertions", "output"):
-        _require(isinstance(doc.get(name, {}), dict),
-                 f"field {name!r} must be an object")
+    _require(isinstance(doc.get("output", {}), dict), "output must be an object")
     path = doc["path"]
-    _require(isinstance(path.get("params", {}), dict),
-             "path.params must be an object")
     _require(path["type"] != "generator" or isinstance(path.get("name"), str)
              and path["name"] in GENERATOR_PARAMS,
              f"path.name {path.get('name')!r}: unknown generator")
     doc = _with_defaults(doc)
-    _require(doc["seed"] is None or _count(doc["seed"], 0),
-             "field 'seed' must be a nonnegative integer")
+    _check_fields(FIELDS, doc)
+    path = doc["path"]
+    kind = path["type"]
 
     model = doc["model"]
     _require(model["type"] in ("weighted_blocks", "frequency", "circle_metric"),
@@ -198,23 +248,14 @@ def validate_scenario(doc):
     if model["type"] == "weighted_blocks":
         blocks = model.get("blocks")
         _require(isinstance(blocks, list) and blocks and all(
-            isinstance(b, list) and len(b) == 2 and isinstance(b[0], int)
-            and _finite(b[1]) for b in blocks),
-            "model.blocks must be a nonempty list of [dim, weight] numbers")
-    _require(_finite(model["rho"]) and _finite(model["xi_max"])
-             and isinstance(model["n"], int) and isinstance(model["profile"], str),
-             "model.rho, model.xi_max must be numbers, model.n an integer, "
-             "model.profile a name")
-    _require(model["type"] != "circle_metric" or model["profile"] in METRIC_PROFILES,
-             f"model.profile {model['profile']!r} unknown; "
-             f"choose from {sorted(METRIC_PROFILES)}")
+            isinstance(b, list) and len(b) == 2 and _integer(1)(b[0])
+            and _POSITIVE(b[1]) for b in blocks),
+            "model.blocks must be a nonempty list of [dim, weight] pairs, "
+            "dim an integer >= 1 and weight a positive number")
     if model["type"] == "circle_metric":
-        _require(model["n"] >= 4 and model["n"] % 2 == 0,
-                 "model.n must be an even integer >= 4")
+        _require(model["n"] % 2 == 0, "model.n must be even")
         _require_samples_fit(1, 2 * (model["n"] + 1))
 
-    path = doc["path"]
-    kind = path["type"]
     _require(kind in ("generator", "explicit", "affine_frequency", "metric_path"),
              f"path.type {kind!r} unknown")
     _require((model["type"] == "circle_metric") == (kind == "metric_path"),
@@ -222,9 +263,10 @@ def validate_scenario(doc):
     if kind == "affine_frequency":
         _require(model["type"] == "frequency",
                  "affine_frequency paths need a frequency model")
-        _require(_finite(path["offset_start"]) and _finite(path["offset_end"])
-                 and _count(path["num_samples"], 2),
-                 "path offsets must be numbers, path.num_samples an integer >= 2")
+        _require(all(e in FREQUENCY_ENGINES for e in doc["engines"]),
+                 f"the frequency model runs only the engines {FREQUENCY_ENGINES}")
+        _require(not doc["aps"]["enabled"],
+                 "the index needs a weighted block model, not the frequency model")
         _require_samples_fit(path["num_samples"], 1)
     if kind == "explicit":
         _require(model["type"] == "weighted_blocks",
@@ -232,78 +274,33 @@ def validate_scenario(doc):
         dim = sum(n for n, _ in model["blocks"])
         samples = path.get("samples")
         _require(isinstance(samples, list) and all(
-            isinstance(item, dict) and _finite(item.get("u"))
+            isinstance(item, dict) and _is_number(item.get("u"))
             and _numeric_matrix(item.get("matrix"), dim) for item in samples),
             "path.samples must be a list of {'u': number, 'matrix': numbers}, "
             f"each matrix {dim}x{dim} (optionally [re, im] pairs)")
     if kind == "generator":
         name = path["name"]
         params = path["params"]
+        _check_fields(GENERATOR_PARAMS[name], params, "path.params.")
         if name != "single_crossing":
             _require(model["type"] == "weighted_blocks",
                      f"{name} paths need a weighted block model")
         if name.startswith("random"):
-            _require(isinstance(doc["seed"], int),
+            _require(doc["seed"] is not None,
                      "random generators require an integer 'seed'")
         if name == "involution":
             minus = params.get("minus_dims")
             _require(isinstance(minus, list) and len(minus) == len(model["blocks"])
-                     and all(isinstance(m, int) for m in minus),
-                     "path.params.minus_dims must list one integer per block")
-        else:
-            _require(_count(params["num_samples"], 2),
-                     "path.params.num_samples must be an integer >= 2")
+                     and all(_integer(0)(m) for m in minus),
+                     "path.params.minus_dims must list one integer >= 0 per block")
         _require_samples_fit(params.get("num_samples", 1), 1 if name == "single_crossing"
                              else sum(n for n, _ in model["blocks"]))
 
-    engines = doc["engines"]
-    _require(isinstance(engines, list) and all(e in ENGINES for e in engines),
-             f"field 'engines' must be a sublist of {ENGINES}")
-    if kind == "affine_frequency":
-        _require(all(e in FREQUENCY_ENGINES for e in engines),
-                 f"the frequency model runs only the engines {FREQUENCY_ENGINES}")
-    params = doc["engine_params"]
-    _require(isinstance(params["s_grid"], list) and all(
-        _finite(s) and s > 0 for s in params["s_grid"]),
-        "engine_params.s_grid must be a list of positive finite numbers")
-    _require(isinstance(params["chi"], (str, list)) and all(
-        isinstance(c, str) and c in CHI_PROFILES for c in _chi_list(params)),
-        f"engine_params.chi must name profiles among {sorted(CHI_PROFILES)}")
-    _require(_finite(params["window"]) and params["window"] > 0,
-             "engine_params.window must be positive")
-    _require(_nonnegative(params["min_endpoint_gap"]),
-             "engine_params.min_endpoint_gap must be a number >= 0")
-
-    asserts = doc["assertions"]
-    _require((asserts["pairwise_agreement"] is None
-              or _nonnegative(asserts["pairwise_agreement"]))
-             and _nonnegative(asserts["value_tolerance"])
-             and (asserts["expected_value"] is None
-                  or _finite(asserts["expected_value"])),
-             "assertions.expected_value must be a number, the tolerances "
-             "numbers >= 0 (only pairwise_agreement may be null)")
     output = doc["output"]
     _require(all(isinstance(v, str) for v in output.values())
              and _plain_file_name(output["csv"]) and _plain_file_name(output["log"])
              and output["csv"] != output["log"],
              "field 'output' must map 'csv' and 'log' to two plain file names")
-
-    aps = doc["aps"]
-    if aps["enabled"]:
-        _require(kind != "affine_frequency",
-                 "the index needs a weighted block model, not the frequency model")
-        _require(_count(aps["M"], 16), "aps.M must be an integer >= 16")
-        _require(aps["scheme"] in SCHEMES, "aps.scheme unknown")
-        _require(aps["geometry"] in GEOMETRIES, "aps.geometry unknown")
-        _require(_finite(aps["theta"]) and aps["theta"] > 0,
-                 "aps.theta must be positive")
-        _require(aps["L"] is None or _finite(aps["L"]) and aps["L"] > 0,
-                 "aps.L must be a positive number")
-
-
-def _chi_list(params):
-    chi = params["chi"]
-    return [chi] if isinstance(chi, str) else list(chi)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,7 @@ def _build_path(cfg, model, seed):
                     BlockHermitian(model, _decode_matrix(item["matrix"])))
                    for item in cfg["samples"]]
         return OperatorPath(model, samples, interpolation=cfg["interpolation"],
-                            endpoint_flat=bool(cfg["endpoint_flat"]))
+                            endpoint_flat=cfg["endpoint_flat"])
     # generators
     name = cfg["name"]
     params = cfg["params"]
@@ -360,41 +357,33 @@ def _build_path(cfg, model, seed):
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_engine(name, path, params):
-    rows = []
-    results = {}
-    if name == "crossing":
-        t0 = time.perf_counter()
-        res = sf_crossing(path, window=float(params["window"]))
-        ms = 1000 * (time.perf_counter() - t0)
-        results["crossing"] = res
-        rows.append(("crossing", "", res.value, 0.0, ms))
-    elif name == "phillips":
-        t0 = time.perf_counter()
-        res = sf_phillips(path)
-        ms = 1000 * (time.perf_counter() - t0)
-        results["phillips"] = res
-        rows.append(("phillips", "",
-                     res.value, res.diagnostics.get("quadrature_error", 0.0), ms))
-    elif name == "integral":
-        for s in params["s_grid"]:
-            t0 = time.perf_counter()
-            res = sf_integral(path, float(s))
-            ms = 1000 * (time.perf_counter() - t0)
-            results[f"integral[s={s:g}]"] = res
-            rows.append(("integral", f"{s:g}", res.value,
-                         res.diagnostics["quadrature_error"], ms))
-    elif name == "appendix":
-        for chi_name in _chi_list(params):
-            chi = CHI_PROFILES[chi_name]()
-            t0 = time.perf_counter()
-            res = sf_appendix(path, chi, rescale=True,
-                              min_endpoint_gap=float(params["min_endpoint_gap"]))
-            ms = 1000 * (time.perf_counter() - t0)
-            results[f"appendix[{chi_name}]"] = res
-            rows.append((f"appendix:{chi_name}", "", res.value,
-                         res.diagnostics["quadrature_error"], ms))
-    return rows, results
+def _calls(doc, path):
+    """Every timed call of a run, in CSV order, as (stage, CSV engine,
+    parameter s, result name, call); the index has no result name.  Each call
+    looks up its engine on this module when it runs, so a tracer that patches
+    the engines here sees every call."""
+    params = doc["engine_params"]
+    window, gap = float(params["window"]), float(params["min_endpoint_gap"])
+    for name in doc["engines"]:
+        if name == "crossing":
+            yield "sf_crossing", "crossing", "", "crossing", lambda: sf_crossing(path, window)
+        elif name == "phillips":
+            yield "sf_phillips", "phillips", "", "phillips", lambda: sf_phillips(path)
+        elif name == "integral":
+            for s in params["s_grid"]:
+                yield ("sf_integral", "integral", f"{s:g}", f"integral[s={s:g}]",
+                       lambda: sf_integral(path, float(s)))
+        else:
+            for chi_name in params["chi"]:
+                chi = CHI_PROFILES[chi_name]()
+                yield ("sf_appendix", f"appendix:{chi_name}", "", f"appendix[{chi_name}]",
+                       lambda: sf_appendix(path, chi, rescale=True, min_endpoint_gap=gap))
+    aps = doc["aps"]
+    if aps["enabled"]:
+        yield ("aps_index", "aps_index", "", None, lambda: aps_index(SuspensionProblem(
+            path=path, grid_size=aps["M"], scheme=aps["scheme"],
+            geometry=aps["geometry"], cylinder_length=aps["L"],
+            kernel_threshold=float(aps["theta"]))))
 
 
 def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
@@ -417,31 +406,20 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
     path = _build_path(doc["path"], model, seed)
 
     rows = []
-    for name in doc["engines"]:
-        try:
-            engine_rows, results = _run_engine(name, path, doc["engine_params"])
-        except NumericError as exc:
-            raise NumericError(f"sf_{name}: {exc}", partial=exc.partial) from exc
-        rows.extend(engine_rows)
-        record.engine_results.update(results)
-
-    aps_cfg = doc["aps"]
-    if aps_cfg["enabled"]:
+    for stage, engine, s, name, call in _calls(doc, path):
         t0 = time.perf_counter()
-        prob = SuspensionProblem(
-            path=path,
-            grid_size=int(aps_cfg["M"]),
-            scheme=aps_cfg["scheme"],
-            geometry=aps_cfg["geometry"],
-            cylinder_length=aps_cfg["L"],
-            kernel_threshold=float(aps_cfg["theta"]),
-        )
         try:
-            record.aps_index = aps_index(prob)
+            res = call()
         except NumericError as exc:
-            raise NumericError(f"aps_index: {exc}", partial=exc.partial) from exc
-        rows.append(("aps_index", "", record.aps_index, 0.0,
-                     1000 * (time.perf_counter() - t0)))
+            raise NumericError(f"{stage}: {exc}", partial=exc.partial) from exc
+        ms = 1000 * (time.perf_counter() - t0)
+        if name is None:
+            record.aps_index = res
+            rows.append((engine, s, res, 0.0, ms))
+        else:
+            record.engine_results[name] = res
+            rows.append((engine, s, res.value,
+                         res.diagnostics.get("quadrature_error", 0.0), ms))
 
     values = {name: res.value for name, res in record.engine_results.items()}
     if record.aps_index is not None:

@@ -122,16 +122,15 @@ def involution_path(model, minus_dims, rng=None):
     return glued, expected
 
 
-def random_unitary_path(rng, model, num_samples, endpoints_identity=True):
+def random_unitary_path(rng, model, num_samples):
     """Block-diagonal unitary path U_u = exp(i theta(u) H) with
-    theta(u) = 0.7 sin(pi u), so theta(0) = theta(1) = 0, or 0.7 u when not
-    ``endpoints_identity``."""
+    theta(u) = 0.7 sin(pi u), so theta(0) = theta(1) = 0."""
     gen = random_hermitian(rng, model, 1.0)
     dec = eigh(gen)
     us = np.linspace(0.0, 1.0, num_samples)
     mats = []
     for u in us:
-        theta = 0.7 * np.sin(np.pi * u) if endpoints_identity else 0.7 * u
+        theta = 0.7 * np.sin(np.pi * u)
         v = dec.eigenvectors
         mats.append((v * np.exp(1j * theta * dec.eigenvalues)) @ v.conj().T)
     return mats

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,8 @@ def test_index_involution_normalization():
 def test_index_stability_gate():
     path = flatten_endpoints(single_crossing_path(), margin=0.15)
     prob = SuspensionProblem(path=path, grid_size=64)
-    assert aps_index(prob, check_stability=True) == 1.0
+    assert aps_index(prob) == 1.0
+    assert aps_index(replace(prob, grid_size=128)) == 1.0
 
 
 def test_scheme_agreement():
@@ -341,6 +343,15 @@ def test_halfline_negative_eigenvalue_oracle():
     g = halfline_aps_apply_inverse(d0, f, 3.0, grid)
     oracle = np.where(xs <= 1.0, -(1.0 - np.exp(xs - 1.0)), 0.0)
     assert np.abs(g - oracle).max() < 2.0 * (3.0 / grid)
+
+
+@pytest.mark.parametrize("length", [1e300, 1.7e308])
+def test_cylinder_beyond_the_float_range_is_refused(length):
+    # the grid size is refused before it is converted to an integer
+    prob = SuspensionProblem(path=single_crossing_path(), grid_size=16,
+                             geometry="cylinder", cylinder_length=length)
+    with pytest.raises(PreconditionError, match="reduce the cylinder length"):
+        aps_index(prob)
 
 
 def test_halfline_requires_invertible():

@@ -14,8 +14,9 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sfcalc
-from sfcalc.cli import (_scenario_dir, list_scenarios, load_scenario, main,
-                        run_scenario, ScenarioError)
+from sfcalc.cli import (FIELDS, GENERATOR_PARAMS, _scenario_dir, list_scenarios,
+                        load_scenario, main, run_scenario, validate_scenario,
+                        ScenarioError)
 from sfcalc.errors import NumericError
 from sfcalc.tracemodel import WeightedBlockModel
 
@@ -68,6 +69,9 @@ def test_invalid_scenario_exit_code(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text("{not json")
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert main(["run", str(tmp_path), "--out", str(tmp_path)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
 
@@ -77,7 +81,6 @@ def test_schema_validation_messages():
     doc = json.load(open(bundled("single_crossing.json")))
     doc["engines"] = ["warp"]
     with pytest.raises(ScenarioError):
-        from sfcalc.cli import validate_scenario
         validate_scenario(doc)
 
 
@@ -243,8 +246,9 @@ DELETE = object()
 
 
 def _set_path(doc, key, value):
-    """Set the field at a dotted key, or remove it when ``value`` is DELETE."""
-    *parents, last = key.split(".")
+    """Set the field at a dotted key, or remove it when ``value`` is DELETE;
+    a number in the key indexes a list."""
+    *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
     target = doc
     for name in parents:
         target = target[name]
@@ -294,6 +298,18 @@ def _explicit_path(entry):
     ("circle_signature", "model.n", -3),
     ("circle_signature", "model.n", 10 ** 6),
     ("involution_norm", "assertions.value_tolerance", None),
+    ("zsign_dirac", "schema", True),
+    ("zsign_dirac", "assertions.expected_value", True),
+    ("random_agreement", "engine_params.window", True),
+    ("random_agreement", "engine_params.s_grid", [True]),
+    ("random_agreement", "aps.theta", True),
+    ("random_agreement", "aps.enabled", "false"),
+    ("zsign_dirac", "assertions.aps_matches_crossing", "false"),
+    ("involution_norm", "path.params.flatten", "no"),
+    ("random_agreement", "model.blocks", [[True, 1.0], [1, True]]),
+    ("zsign_dirac", "model.xi_max", 0),
+    ("zsign_dirac", "model.rho", -1),
+    ("random_agreement", "path.interpolation", "quadratic"),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
         "circle-metric-without-metric-path", "negative-seed",
@@ -304,7 +320,10 @@ def _explicit_path(entry):
         "negative-value-tolerance", "negative-min-endpoint-gap",
         "csv-and-log-same-file", "log-name-nul", "samples-beyond-memory",
         "block-beyond-memory", "metric-negative-n", "metric-beyond-memory",
-        "value-tolerance-null"])
+        "value-tolerance-null", "schema-true", "expected-value-true",
+        "window-true", "s-grid-true", "theta-true", "aps-enabled-string",
+        "aps-matches-crossing-string", "flatten-string", "block-entries-true",
+        "xi-max-zero", "rho-negative", "generator-path-quadratic"])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, value):
     doc = json.load(open(bundled(f"{scenario}.json")))
     _set_path(doc, key, value(tmp_path) if callable(value) else value)
@@ -392,34 +411,91 @@ def test_failed_quadrature_names_the_integral_stage_once(tmp_path, monkeypatch,
         "numeric error in single_crossing: sf_integral: quadrature did not converge\n")
 
 
-# ---------------------------------------------------------------------------
-# scenario fuzz
+def _table_fields(fields, prefix=""):
+    """(dotted key, default) of every field of a FIELDS-shaped table."""
+    for key, entry in fields.items():
+        if isinstance(entry, dict):
+            yield from _table_fields(entry, f"{prefix}{key}.")
+        else:
+            yield prefix + key, entry[0]
 
-def _fuzz_base(name):
-    doc = json.load(open(bundled(f"{name}.json")))
-    if name == "random_agreement":
-        doc["aps"]["M"] = 16
+
+def _generator_doc(name):
+    """A bundled document whose path is generator ``name``, or zsign_dirac."""
+    base = {None: "zsign_dirac", "single_crossing": "single_crossing",
+            "involution": "involution_norm"}.get(name, "random_agreement")
+    doc = json.load(open(bundled(f"{base}.json")))
+    if name is not None:
+        doc["path"]["name"] = name
     return doc
 
 
-def _field_keys(doc, prefix=""):
-    """Dotted keys of every field of a document, nested objects included."""
-    for key, value in doc.items():
-        yield prefix + key
-        if isinstance(value, dict):
-            yield from _field_keys(value, f"{prefix}{key}.")
+TABLE_FIELDS = (
+    [(None, key, default) for key, default in _table_fields(FIELDS)]
+    + [(name, key, default) for name, params in GENERATOR_PARAMS.items()
+       for key, default in _table_fields(params, "path.params.")])
+
+
+@pytest.mark.parametrize("generator, key, default", TABLE_FIELDS,
+                         ids=[f"{g or 'FIELDS'}:{k}" for g, k, _ in TABLE_FIELDS])
+def test_every_table_field_has_a_strict_rule(generator, key, default):
+    # each optional field takes its default, and refuses a nested list, the
+    # string "false" and, unless its default is a bool, JSON true, each with
+    # a ScenarioError that names the field
+    def validate_with(value):
+        doc = _generator_doc(generator)
+        doc.setdefault(key.split(".")[0], {})
+        _set_path(doc, key, value)
+        validate_scenario(doc)
+
+    validate_with(default)
+    for value in [[[1, 1.0]], "false"] + ([] if isinstance(default, bool) else [True]):
+        with pytest.raises(ScenarioError, match=f"^{key} must be "):
+            validate_with(value)
+
+
+# ---------------------------------------------------------------------------
+# scenario fuzz
+
+# The two heavy documents run at a small size: single_crossing on a short
+# cylinder and circle_signature at the smallest metric grid.
+FUZZ_SIZES = {"random_agreement": {"aps.M": 16},
+              "single_crossing": {"aps.M": 16, "aps.L": 0.25},
+              "circle_signature": {"model.n": 4, "aps.M": 16}}
+
+
+def _fuzz_base(name):
+    doc = json.load(open(bundled(f"{name}.json")))
+    for key, value in FUZZ_SIZES.get(name, {}).items():
+        _set_path(doc, key, value)
+    return doc
+
+
+def _field_keys(value, prefix=""):
+    """Dotted keys of every field and list item of a document, nested ones
+    included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield f"{prefix}{key}"
+        if isinstance(item, (dict, list)):
+            yield from _field_keys(item, f"{prefix}{key}.")
 
 
 FUZZ_FIELDS = [(name, key) for name in ("zsign_dirac", "involution_norm",
-                                        "random_agreement")
+                                        "random_agreement", "single_crossing",
+                                        "circle_signature")
                for key in _field_keys(_fuzz_base(name))]
-FUZZ_VALUES = (None, True, 0, -1, 1.5, 1e300, "", "x", [], {}, [[1, 1.0]], DELETE)
+FUZZ_VALUES = (None, True, 0, -1, 1.5, 1e300, "", "x", "false", [], {}, [[1, 1.0]],
+               DELETE)
 
 
 @seed(8800)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
 @example(field=("involution_norm", "assertions.value_tolerance"), value=None)
+@example(field=("random_agreement", "engine_params.chi"), value=[[1, 1.0]])
+@example(field=("random_agreement", "aps.enabled"), value="false")
+@example(field=("single_crossing", "aps.L"), value=1e300)
 def test_scenario_fuzz_exits_with_a_documented_code(field, value):
     # one field set to an odd value or deleted: sfcalc run answers with an
     # exit code, never with an exception

@@ -586,7 +586,7 @@ def test_conjugation_invariance_identity_endpoints():
     rng = rng_from_seed(34)
     model = random_block_model(rng)
     path = random_path(rng, model, num_samples=7)
-    mats = random_unitary_path(rng, model, 7, endpoints_identity=True)
+    mats = random_unitary_path(rng, model, 7)
     rotated = conjugate(path, mats)
     base = engine_values(path)
     other = engine_values(rotated)

@@ -1,6 +1,7 @@
 """Circle signature operator, trivialization and the model scenarios."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,9 +128,9 @@ def test_signature_scenario_full_report_small():
 def test_aps_index_stable_under_grid_doubling_for_signature():
     metric = standard_metric_paths(n=8)["cos_ramp"]
     from sfcalc.apsindex import SuspensionProblem, aps_index
-    path = trivialized_path(metric)
-    assert aps_index(SuspensionProblem(path=path, grid_size=32),
-                     check_stability=True) == 0.0
+    prob = SuspensionProblem(path=trivialized_path(metric), grid_size=32)
+    assert aps_index(prob) == 0.0
+    assert aps_index(replace(prob, grid_size=64)) == 0.0
 
 
 def test_dirac_family_window():
