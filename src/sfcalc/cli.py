@@ -107,8 +107,7 @@ FIELDS = {
               "profile": ("cos_ramp", _one_of(METRIC_PROFILES))},
     "path": {"offset_start": (-1.0, _NUMBER), "offset_end": (1.0, _NUMBER),
              "num_samples": (5, _integer(2)),
-             "interpolation": ("linear", _one_of(("linear", "cubic"))),
-             "endpoint_flat": (False, _BOOLEAN), "params": {}},
+             "interpolation": ("linear", _one_of(("linear", "cubic"))), "params": {}},
     "engine_params": {"s_grid": ([0.5, 2.0, 8.0], _list_of(_POSITIVE)),
                       "chi": (["sine"], _list_of(_one_of(CHI_PROFILES))),
                       "window": (0.5, _POSITIVE),
@@ -282,9 +281,10 @@ def validate_scenario(doc):
         name = path["name"]
         params = path["params"]
         _check_fields(GENERATOR_PARAMS[name], params, "path.params.")
-        if name != "single_crossing":
-            _require(model["type"] == "weighted_blocks",
-                     f"{name} paths need a weighted block model")
+        _require(model["type"] == "weighted_blocks",
+                 f"{name} paths need a weighted block model")
+        _require(name != "single_crossing" or model["blocks"] == [[1, 1.0]],
+                 "single_crossing paths need model.blocks [[1, 1.0]]")
         if name.startswith("random"):
             _require(doc["seed"] is not None,
                      "random generators require an integer 'seed'")
@@ -293,8 +293,8 @@ def validate_scenario(doc):
             _require(isinstance(minus, list) and len(minus) == len(model["blocks"])
                      and all(_integer(0)(m) for m in minus),
                      "path.params.minus_dims must list one integer >= 0 per block")
-        _require_samples_fit(params.get("num_samples", 1), 1 if name == "single_crossing"
-                             else sum(n for n, _ in model["blocks"]))
+        _require_samples_fit(params.get("num_samples", 1),
+                             sum(n for n, _ in model["blocks"]))
 
     output = doc["output"]
     _require(all(isinstance(v, str) for v in output.values())
@@ -336,8 +336,7 @@ def _build_path(cfg, model, seed):
         samples = [(float(item["u"]),
                     BlockHermitian(model, _decode_matrix(item["matrix"])))
                    for item in cfg["samples"]]
-        return OperatorPath(model, samples, interpolation=cfg["interpolation"],
-                            endpoint_flat=cfg["endpoint_flat"])
+        return OperatorPath(model, samples, interpolation=cfg["interpolation"])
     # generators
     name = cfg["name"]
     params = cfg["params"]

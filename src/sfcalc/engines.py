@@ -260,19 +260,12 @@ def sf_crossing(path, window=0.5):
 # Phillips engine
 
 def _ec_frequency(sym_p, sym_q, model):
-    cuts = sorted(set(sym_p.breakpoints()) | set(sym_q.breakpoints()))
-
-    def integrand(xi):
-        p = (np.asarray(sym_p(xi)) >= 0.0).astype(float)
-        q = (np.asarray(sym_q(xi)) >= 0.0).astype(float)
+    def summand(xi):
+        p = (sym_p(xi) >= 0.0).astype(float)
+        q = (sym_q(xi) >= 0.0).astype(float)
         return q * (1.0 - p) - p * (1.0 - q)
 
-    value, err, _ = adaptive_gauss_legendre(
-        lambda xi: integrand(xi) * model.rho_values(xi),
-        -model.xi_max, model.xi_max, abs_tol=1e-10, breakpoints=cuts)
-    if not math.isfinite(value):
-        raise ModelError("relative-index summand is not integrable")
-    return value, err
+    return model.integrate(summand, sym_p.breakpoints() + sym_q.breakpoints())
 
 
 def sf_phillips(path):
@@ -290,15 +283,11 @@ def sf_phillips(path):
     us = list(path.us)
     diagnostics = {"num_steps": float(len(us) - 1)}
     if path.is_frequency:
-        total = 0.0
-        err_total = 0.0
         syms = [path.eval(u) for u in us]
-        for j in range(len(us) - 1):
-            val, err = _ec_frequency(syms[j], syms[j + 1], path.model)
-            total += val
-            err_total += err
-        diagnostics["quadrature_error"] = err_total
-        return _finalize(total, "phillips", path.model, diagnostics)
+        terms = [_ec_frequency(p, q, path.model) for p, q in zip(syms[:-1], syms[1:])]
+        diagnostics["quadrature_error"] = sum(err for _, err in terms)
+        return _finalize(sum(val for val, _ in terms), "phillips", path.model,
+                         diagnostics)
 
     parts = eigh_stack(path.model, path.eval(path.us))
     terms = []
@@ -333,32 +322,21 @@ def eta_truncated(op, s, model=None):
     if isinstance(op, FreqSymbol):
         if not isinstance(model, FrequencyModel):
             raise ModelError("symbol eta needs the frequency model")
-        def integrand(xi):
+        def signed_erfc(xi):
             d = np.asarray(op(xi), dtype=float)
-            return np.sign(d) * _erfc_array(rs * np.abs(d)) * model.rho_values(xi)
-        value, _, _ = adaptive_gauss_legendre(
-            integrand, -model.xi_max, model.xi_max, abs_tol=1e-10,
-            breakpoints=sorted(op.breakpoints()))
-        return value
+            return np.sign(d) * _erfc_array(rs * np.abs(d))
+        return model.integrate(signed_erfc, op.breakpoints())[0]
     dec = op if isinstance(op, SpectralDecomposition) else eigh(op)
     lam = dec.eigenvalues
     signs = np.where(dec.kernel_mask(), 0.0, np.sign(lam))
     return float(np.sum(dec.weights * signs * _erfc_array(rs * np.abs(lam))))
 
 
-def _heat_derivative_trace_frequency(path, u, s, model):
-    sym = path.eval(u)
-    dsym = path.derivative(u)
-
-    def integrand(xi):
-        return (np.asarray(dsym(xi), dtype=float)
-                * np.exp(-s * np.asarray(sym(xi), dtype=float) ** 2)
-                * model.rho_values(xi))
-
-    value, _, _ = adaptive_gauss_legendre(
-        integrand, -model.xi_max, model.xi_max, abs_tol=1e-11,
-        breakpoints=sorted(set(sym.breakpoints()) | set(dsym.breakpoints())))
-    return value
+def _heat_derivative_trace_frequency(path, u, s):
+    sym, dsym = path.eval(u), path.derivative(u)
+    return path.model.integrate(lambda xi: dsym(xi) * np.exp(-s * sym(xi) ** 2),
+                                sym.breakpoints() + dsym.breakpoints(),
+                                abs_tol=1e-11)[0]
 
 
 def sf_integral(path, s, quad_tol=1e-8):
@@ -376,7 +354,7 @@ def sf_integral(path, s, quad_tol=1e-8):
 
     if path.is_frequency:
         def g(us):
-            return np.array([_heat_derivative_trace_frequency(path, float(u), s, model)
+            return np.array([_heat_derivative_trace_frequency(path, float(u), s)
                              for u in us])
     else:
         def g(us):

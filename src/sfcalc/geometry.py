@@ -246,8 +246,7 @@ def trivialized_path(metric, model=None):
     model = model or engine_model(metric.n)
     samples = [(float(u), _engine_operator(metric, float(u), model))
                for u in metric.u_samples]
-    return OperatorPath(model, samples, interpolation="linear",
-                        endpoint_flat=True)
+    return OperatorPath(model, samples, interpolation="linear")
 
 
 def _fd4(values, delta):

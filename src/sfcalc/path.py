@@ -3,10 +3,11 @@
 An :class:`OperatorPath` samples a family u -> F_u on [0, 1] and provides
 interpolation, differentiation, concatenation and unitary conjugation.
 Samples are either :class:`~sfcalc.tracemodel.BlockHermitian` elements or
-affine frequency-model symbols; interpolation is entrywise (resp.
-pointwise) with real coefficients, so interpolated values and derivatives
-are exactly Hermitian and block-diagonal and are not validated again.  Block
-paths evaluate a whole array of parameters at once into a stack of matrices.
+affine frequency-model symbols, held in one stack of matrices or of
+(offset, slope) rows; interpolation is entrywise with real coefficients, so
+interpolated values and derivatives are exactly Hermitian and block-diagonal
+and are not validated again.  Block paths evaluate a whole array of
+parameters at once into a stack of matrices.
 """
 
 import numpy as np
@@ -89,10 +90,13 @@ def hermite(us, values, tangents, u):
 
 
 class OperatorPath:
-    """Sampled path u -> F_u with u_0 = 0 and u_last = 1."""
+    """Sampled path u -> F_u with u_0 = 0 and u_last = 1.
 
-    def __init__(self, model, samples, interpolation="linear",
-                 endpoint_flat=False):
+    ``endpoint_flat`` is True when the first two and the last two samples
+    agree, so the path is constant near both ends.
+    """
+
+    def __init__(self, model, samples, interpolation="linear"):
         if interpolation not in ("linear", "cubic"):
             raise ValidationError(f"unknown interpolation {interpolation!r}")
         samples = [(float(u), F) for u, F in samples]
@@ -107,17 +111,14 @@ class OperatorPath:
 
         self.model = model
         self.interpolation = interpolation
-        self.endpoint_flat = bool(endpoint_flat)
         self.us = us
 
         if isinstance(model, FrequencyModel):
             if interpolation == "cubic":
                 raise ValidationError("frequency paths support linear interpolation only")
-            for _, F in samples:
-                if not isinstance(F, AffineSymbol):
-                    raise ValidationError("frequency-path samples must be affine symbols")
-            self._symbols = [F for _, F in samples]
-            self._stack = None
+            if not all(isinstance(F, AffineSymbol) for _, F in samples):
+                raise ValidationError("frequency-path samples must be affine symbols")
+            self._stack = np.array([(F.offset, F.slope) for _, F in samples], dtype=float)
         elif isinstance(model, WeightedBlockModel):
             mats = []
             for _, F in samples:
@@ -127,40 +128,34 @@ class OperatorPath:
                     raise ValidationError("all samples must live on the path's model")
                 mats.append(F.mat)
             self._stack = np.stack(mats)
-            self._symbols = None
             if interpolation == "cubic":
                 self._tangents = hermite_tangents(us, self._stack)
         else:
             raise ValidationError("unsupported model type")
 
-        if self.endpoint_flat:
-            for i, j, side in ((0, 1, "start"), (-2, -1, "end")):
-                if not self._samples_equal(i, j):
-                    raise ValidationError(
-                        f"endpoint_flat requires identical samples at the {side}")
+        scale = max(1.0, np.abs(self._stack).max())
+        self.endpoint_flat = all(
+            np.abs(self._stack[i] - self._stack[j]).max() <= 1e-12 * scale
+            for i, j in ((0, 1), (-2, -1)))
 
     # -- basic access -------------------------------------------------------
 
     @property
     def is_frequency(self):
-        return self._symbols is not None
+        return isinstance(self.model, FrequencyModel)
 
     @property
     def nodes(self):
         return self.us.copy()
 
     def sample(self, j):
-        if self.is_frequency:
-            return self._symbols[j]
-        return BlockHermitian._trusted(self.model, self._stack[j])
+        return self._element(self._stack[j])
 
-    def _samples_equal(self, i, j):
+    def _element(self, row):
+        """One stacked sample or value as an element of the model."""
         if self.is_frequency:
-            probe = np.linspace(-1.0, 1.0, 7) * self.model.xi_max
-            return np.allclose(self._symbols[i](probe), self._symbols[j](probe),
-                               atol=1e-12, rtol=0.0)
-        scale = max(1.0, np.abs(self._stack).max())
-        return np.abs(self._stack[i] - self._stack[j]).max() <= 1e-12 * scale
+            return AffineSymbol(offset=float(row[0]), slope=float(row[1]))
+        return BlockHermitian._trusted(self.model, row)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -176,10 +171,12 @@ class OperatorPath:
             raise ValidationError("frequency paths evaluate one parameter at a time")
         return us
 
-    def _block_result(self, u, mats):
-        if np.ndim(u) == 0:
-            return BlockHermitian._trusted(self.model, mats[0])
-        return mats
+    def _result(self, u, values):
+        return self._element(values[0]) if np.ndim(u) == 0 else values
+
+    def _column(self, x):
+        """A per-parameter array shaped to broadcast against the stack."""
+        return x.reshape((-1,) + (1,) * (self._stack.ndim - 1))
 
     def eval(self, u):
         """F_u: for a number u an element of the model (a symbol on frequency
@@ -188,35 +185,22 @@ class OperatorPath:
         as a one-element array, so both give the same bits."""
         us = self._params(u)
         if self.interpolation == "cubic":
-            mats, _ = hermite(self.us, self._stack, self._tangents, us)
-            return self._block_result(u, mats)
+            values, _ = hermite(self.us, self._stack, self._tangents, us)
+            return self._result(u, values)
         j = _segment(self.us, us)
-        t = (us - self.us[j]) / (self.us[j + 1] - self.us[j])
-        if self.is_frequency:
-            j, t = int(j[0]), t[0]
-            if t == 0.0:
-                return self._symbols[j]
-            if t == 1.0:
-                return self._symbols[j + 1]
-            return self._symbols[j].lerp(self._symbols[j + 1], t)
-        t = t[:, None, None]
-        return self._block_result(
-            u, (1.0 - t) * self._stack[j] + t * self._stack[j + 1])
+        t = self._column((us - self.us[j]) / (self.us[j + 1] - self.us[j]))
+        return self._result(u, (1.0 - t) * self._stack[j] + t * self._stack[j + 1])
 
     def derivative(self, u):
         """dF/du, right derivative at interior nodes; numbers and arrays as
         in :meth:`eval`."""
         us = self._params(u)
         if self.interpolation == "cubic":
-            _, mats = hermite(self.us, self._stack, self._tangents, us)
-            return self._block_result(u, mats)
+            _, slopes = hermite(self.us, self._stack, self._tangents, us)
+            return self._result(u, slopes)
         j = _segment(self.us, us)
-        h = self.us[j + 1] - self.us[j]
-        if self.is_frequency:
-            j = int(j[0])
-            return self._symbols[j].diff_quotient(self._symbols[j + 1], h[0])
-        return self._block_result(
-            u, (self._stack[j + 1] - self._stack[j]) / h[:, None, None])
+        h = self._column(self.us[j + 1] - self.us[j])
+        return self._result(u, (self._stack[j + 1] - self._stack[j]) / h)
 
     def max_sample_norm(self):
         if self.is_frequency:
@@ -241,24 +225,14 @@ def concatenate(a, b):
     """Glue two paths: a on [0, 1/2], b on [1/2, 1]."""
     if not _same_model(a.model, b.model):
         raise ValidationError("concatenate requires a common model")
-    end_a, start_b = a.eval(1.0), b.eval(0.0)
-    if a.is_frequency != b.is_frequency:
-        raise ValidationError("cannot concatenate mixed path kinds")
-    if a.is_frequency:
-        probe = np.linspace(-1.0, 1.0, 9) * a.model.xi_max
-        mismatch = float(np.abs(end_a(probe) - start_b(probe)).max())
-        scale = 1.0
-    else:
-        mismatch = float(np.abs(end_a.mat - start_b.mat).max())
-        scale = max(1.0, np.abs(end_a.mat).max())
-    if mismatch > 1e-10 * scale:
+    end_a, start_b = a._stack[-1], b._stack[0]
+    mismatch = float(np.abs(end_a - start_b).max())
+    if mismatch > 1e-10 * max(1.0, np.abs(end_a).max()):
         raise ValidationError(
             f"paths do not match at the splice point (gap {mismatch:.3e})")
     samples = [(u / 2.0, a.sample(j)) for j, u in enumerate(a.us)]
     samples += [(0.5 + u / 2.0, b.sample(j)) for j, u in enumerate(b.us) if u > 0.0]
-    flat = a.endpoint_flat and b.endpoint_flat
-    return OperatorPath(a.model, samples, interpolation=a.interpolation,
-                        endpoint_flat=flat)
+    return OperatorPath(a.model, samples, interpolation=a.interpolation)
 
 
 def conjugate(path, unitaries):
@@ -285,16 +259,14 @@ def conjugate(path, unitaries):
                                   f"(defect {defect:.3e})")
         samples.append((u, BlockHermitian(path.model,
                                           U @ path.sample(j).mat @ U.conj().T)))
-    return OperatorPath(path.model, samples, interpolation=path.interpolation,
-                        endpoint_flat=False)
+    return OperatorPath(path.model, samples, interpolation=path.interpolation)
 
 
 def reverse(path):
     """The path u -> F_{1-u}."""
     samples = [(1.0 - u, path.sample(j)) for j, u in enumerate(path.us)]
     samples.reverse()
-    return OperatorPath(path.model, samples, interpolation=path.interpolation,
-                        endpoint_flat=path.endpoint_flat)
+    return OperatorPath(path.model, samples, interpolation=path.interpolation)
 
 
 def direct_sum(a, b):
@@ -310,8 +282,7 @@ def direct_sum(a, b):
         mat[:na, :na] = a.eval(u).mat
         mat[na:, na:] = b.eval(u).mat
         samples.append((float(u), BlockHermitian(model, mat)))
-    return OperatorPath(model, samples, interpolation="linear",
-                        endpoint_flat=a.endpoint_flat and b.endpoint_flat)
+    return OperatorPath(model, samples, interpolation="linear")
 
 
 def reparametrize(path, phi, num_samples=None):
@@ -330,7 +301,7 @@ def flatten_endpoints(path, margin=0.15, num_samples=None):
         num_samples = max(2 * len(path.us) + 1, 33)
     ts = np.linspace(0.0, 1.0, num_samples)
     return OperatorPath(path.model, _resampled(path, ts, flat_profile(ts, margin)),
-                        interpolation=path.interpolation, endpoint_flat=True)
+                        interpolation=path.interpolation)
 
 
 def _resampled(path, ts, warped):

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NumericError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+_EPS = np.finfo(float).eps
 
 
 def _panel_values(f, panels):
@@ -44,7 +45,10 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     the panels evaluated: a level that would pass it is not evaluated, and
     a :class:`NumericError` carries the partial estimate (accepted panels
     plus the panels still to bisect).  A panel whose value is not finite
-    stops the quadrature at once with a NumericError naming it.
+    stops the quadrature at once with a NumericError naming it, and so does
+    an ``abs_tol`` below eps times the summed |values| of the initial
+    panels, which rounding keeps any error estimate from reaching; that
+    error carries the initial panels' sum.
     """
     if b == a:
         return 0.0, 0.0, 0
@@ -60,8 +64,13 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     min_width = 1e-14 * span
 
     initial = list(zip(edges[:-1], edges[1:]))
-    pending = [(lo, hi, value)
-               for (lo, hi), value in zip(initial, _panel_values(f, initial))]
+    values = _panel_values(f, initial)
+    rounding = _EPS * sum(abs(value) for value in values)
+    if abs_tol < rounding:
+        raise NumericError(
+            f"tolerance {abs_tol:.3e} is below the rounding error {rounding:.3e} "
+            "of the panel sums", partial=sum(values))
+    pending = [(lo, hi, value) for (lo, hi), value in zip(initial, values)]
     used = len(pending)
     accepted = []   # (lo, refined, err)
     worst = 0.0     # largest error estimate the last level rejected

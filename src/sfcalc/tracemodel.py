@@ -419,15 +419,6 @@ class AffineSymbol(FreqSymbol):
         r = self.root()
         return () if r is None else (r,)
 
-    def lerp(self, other, t):
-        t = float(t)
-        return AffineSymbol(offset=(1 - t) * self.offset + t * other.offset,
-                            slope=(1 - t) * self.slope + t * other.slope)
-
-    def diff_quotient(self, other, dt):
-        return AffineSymbol(offset=(other.offset - self.offset) / dt,
-                            slope=(other.slope - self.slope) / dt)
-
 
 @dataclass(frozen=True)
 class IndicatorSymbol(FreqSymbol):
@@ -469,6 +460,16 @@ class FrequencyModel:
             raise ValidationError("density must be nonnegative")
         return np.clip(vals, 0.0, None)
 
+    def integrate(self, fn, breakpoints, lo=None, hi=None, abs_tol=1e-10):
+        """Integral of fn(xi) * rho(xi) over [lo, hi], by default the window
+        [-xi_max, xi_max], with panels split at ``breakpoints``.  The one
+        density integral of the model; returns (value, error estimate)."""
+        value, err, _ = adaptive_gauss_legendre(
+            lambda xi: fn(xi) * self.rho_values(xi),
+            -self.xi_max if lo is None else lo, self.xi_max if hi is None else hi,
+            abs_tol=abs_tol, breakpoints=breakpoints)
+        return value, err
+
 
 def _hint_edges(model, support_hint):
     if support_hint is None:
@@ -499,11 +500,6 @@ def freq_trace(model, symbol, support_hint=None):
         return 0.0
     cuts = set(edges[1:-1])
     if isinstance(symbol, FreqSymbol):
-        cuts.update(p for p in symbol.breakpoints() if lo < p < hi)
-
-    def integrand(xi):
-        return np.asarray(symbol(xi), dtype=float) * model.rho_values(xi)
-
-    value, _, _ = adaptive_gauss_legendre(
-        integrand, lo, hi, abs_tol=1e-10, breakpoints=sorted(cuts))
-    return value
+        cuts.update(symbol.breakpoints())
+    return model.integrate(lambda xi: np.asarray(symbol(xi), dtype=float),
+                           cuts, lo, hi)[0]

@@ -16,18 +16,18 @@ from sfcalc.apsindex import (SCHEMES, SuspensionProblem, aps_index, assemble,
 from sfcalc.engines import sf_crossing
 from sfcalc.errors import PreconditionError, ValidationError
 from sfcalc.generators import (involution_path, random_block_model,
-                               random_path, rng_from_seed, scalar_linear_path,
-                               single_crossing_path)
-from sfcalc.path import OperatorPath, concatenate, flatten_endpoints
+                               random_path, random_unitary_path, rng_from_seed,
+                               scalar_linear_path, single_crossing_path)
+from sfcalc.path import OperatorPath, concatenate, conjugate, flatten_endpoints
 from sfcalc.tracemodel import BlockHermitian, WeightedBlockModel, eigh
 
 
-def constant_path(value, model=None, flat=True):
+def constant_path(value, model=None):
     model = model or WeightedBlockModel([(1, 1.0)])
     us = np.linspace(0.0, 1.0, 9)
     samples = [(float(u), BlockHermitian(model, value * np.eye(model.dim)))
                for u in us]
-    return OperatorPath(model, samples, endpoint_flat=flat)
+    return OperatorPath(model, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,18 @@ def test_assemble_matches_per_node_loop(geometry, scheme):
 def test_interval_requires_flat_path():
     with pytest.raises(ValidationError):
         SuspensionProblem(path=single_crossing_path(), grid_size=32)
+
+
+def test_interval_accepts_a_flat_path_conjugated_by_one_unitary():
+    # conjugation keeps equal samples equal, so the path stays endpoint-flat
+    rng = rng_from_seed(6400)
+    model = WeightedBlockModel([(2, 1.0), (3, 0.5)])
+    path = random_path(rng, model, num_samples=7, endpoint_flat=True)
+    rotated = conjugate(path, random_unitary_path(rng, model, 3)[1])
+    assert rotated.endpoint_flat
+    index = aps_index(SuspensionProblem(path=path, grid_size=64))
+    assert aps_index(SuspensionProblem(path=rotated, grid_size=64)) == index
+    assert index == sf_crossing(path).value
 
 
 def test_cylinder_requires_invertible_endpoints():

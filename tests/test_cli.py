@@ -41,10 +41,27 @@ def test_list_scenarios_contains_bundled():
         assert expected in names
 
 
-def test_single_crossing_scenario(tmp_path):
-    code = main(["run", "single_crossing", "--out", str(tmp_path)])
+@pytest.fixture(scope="module")
+def single_crossing_run(tmp_path_factory):
+    """One ``sfcalc run single_crossing``, shared by the tests that read it:
+    (exit code, run record, output directory)."""
+    out = tmp_path_factory.mktemp("single_crossing")
+    records = []
+
+    def recording(*args, **kwargs):
+        records.append(run_scenario(*args, **kwargs))
+        return records[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sfcalc.cli, "run_scenario", recording)
+        code = main(["run", "single_crossing", "--out", str(out)])
+    return code, records[0][0], out
+
+
+def test_single_crossing_scenario(single_crossing_run):
+    code, _, out = single_crossing_run
     assert code == 0
-    rows = read_csv(tmp_path / "single_crossing.csv")
+    rows = read_csv(out / "single_crossing.csv")
     assert rows[0] == ["scenario", "engine", "parameter_s", "value",
                        "error_estimate", "runtime_ms", "seed"]
     values = {(r[1], r[2]): float(r[3]) for r in rows[1:]}
@@ -86,6 +103,7 @@ def test_schema_validation_messages():
 
 def test_failed_assertion_exit_code(tmp_path):
     doc = json.load(open(bundled("single_crossing.json")))
+    doc["aps"]["enabled"] = False
     doc["assertions"]["expected_value"] = 2.0
     bad = tmp_path / "wrong.json"
     bad.write_text(json.dumps(doc))
@@ -189,13 +207,27 @@ def test_unreachable_crossing_window_exits_3_at_once(tmp_path, capsys):
     assert "sf_crossing: partition refinement" in capsys.readouterr().err
 
 
+def test_tolerance_below_rounding_exits_3_at_once(tmp_path, capsys):
+    # a weight of 1e300 puts the integral's rounding error far above
+    # quad_tol: the quadrature refuses after its first level, not after
+    # exhausting its panel budget
+    doc = json.load(open(bundled("random_agreement.json")))
+    doc["model"]["blocks"][0][1] = 1e300
+    scen = tmp_path / "huge_weight.json"
+    scen.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "sf_integral: tolerance 1.000e-08 is below the rounding error" \
+        in capsys.readouterr().err
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "nonsense"]) == 2
 
 
-def test_run_record_agreement_antisymmetric(tmp_path):
-    doc = json.load(open(bundled("single_crossing.json")))
-    record, code = run_scenario(doc, out_dir=str(tmp_path))
+def test_run_record_agreement_antisymmetric(single_crossing_run):
+    code, record, _ = single_crossing_run
     assert code == 0
     seen = {(a, b): d for a, b, d in record.agreement}
     for (a, b), d in seen.items():
@@ -310,6 +342,9 @@ def _explicit_path(entry):
     ("zsign_dirac", "model.xi_max", 0),
     ("zsign_dirac", "model.rho", -1),
     ("random_agreement", "path.interpolation", "quadratic"),
+    ("single_crossing", "model.blocks", [[1, 0.5]]),
+    ("single_crossing", "model.blocks", [[3, 2.0], [2, 1.0]]),
+    ("single_crossing", "model.type", "frequency"),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
         "circle-metric-without-metric-path", "negative-seed",
@@ -323,7 +358,9 @@ def _explicit_path(entry):
         "value-tolerance-null", "schema-true", "expected-value-true",
         "window-true", "s-grid-true", "theta-true", "aps-enabled-string",
         "aps-matches-crossing-string", "flatten-string", "block-entries-true",
-        "xi-max-zero", "rho-negative", "generator-path-quadratic"])
+        "xi-max-zero", "rho-negative", "generator-path-quadratic",
+        "single-crossing-half-weight", "single-crossing-two-blocks",
+        "single-crossing-frequency-model"])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, value):
     doc = json.load(open(bundled(f"{scenario}.json")))
     _set_path(doc, key, value(tmp_path) if callable(value) else value)

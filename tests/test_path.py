@@ -73,8 +73,15 @@ def test_path_validation():
         OperatorPath(model, [(0.0, op)])
     with pytest.raises(ValidationError):
         OperatorPath(model, [(0.1, op), (1.0, op)])
-    with pytest.raises(ValidationError):
-        OperatorPath(model, [(0.0, op), (1.0, model.zero())], endpoint_flat=True)
+    assert not OperatorPath(model, [(0.0, op), (1.0, model.zero())]).endpoint_flat
+
+
+def test_endpoint_flatness_is_read_from_the_samples():
+    flat = scalar_path_from([-1.0, -1.0, 0.5, 1.0, 1.0])
+    assert flat.endpoint_flat
+    assert not scalar_path_from([-1.0, -1.0, 0.5, 1.0]).endpoint_flat
+    assert not scalar_path_from([-1.0, 1.0]).endpoint_flat
+    assert scalar_path_from([0.5, 0.5]).endpoint_flat
 
 
 def test_cubic_path_needs_three_samples():
@@ -88,6 +95,43 @@ def test_frequency_path_samples_are_affine_symbols():
     with pytest.raises(ValidationError, match="affine symbols"):
         OperatorPath(model, [(0.0, AffineSymbol(offset=-1.0)),
                              (1.0, IndicatorSymbol(-1.0, 1.0))])
+
+
+def frequency_path(rows, us=None):
+    us = np.linspace(0.0, 1.0, len(rows)) if us is None else us
+    return OperatorPath(FrequencyModel(), [
+        (float(u), AffineSymbol(offset=offset, slope=slope))
+        for u, (offset, slope) in zip(us, rows)])
+
+
+def test_frequency_path_interpolates_like_the_block_stack():
+    rows = [(-1.0, 1.0), (0.3, 0.7), (1.1, 1.9)]
+    us = [0.0, 0.3, 1.0]
+    path = frequency_path(rows, us)
+    for j, (a, b) in enumerate(zip(rows[:-1], rows[1:])):
+        h = us[j + 1] - us[j]
+        for u in (us[j], 0.5 * (us[j] + us[j + 1])):
+            t = (u - us[j]) / h
+            sym, dsym = path.eval(u), path.derivative(u)
+            assert isinstance(sym, AffineSymbol) and isinstance(dsym, AffineSymbol)
+            assert (sym.offset, sym.slope) == ((1 - t) * a[0] + t * b[0],
+                                               (1 - t) * a[1] + t * b[1])
+            assert (dsym.offset, dsym.slope) == ((b[0] - a[0]) / h,
+                                                 (b[1] - a[1]) / h)
+    end = path.eval(1.0)
+    assert (end.offset, end.slope) == rows[-1]
+    with pytest.raises(ValidationError, match="one parameter at a time"):
+        path.eval(np.array([0.2, 0.4]))
+
+
+def test_concatenate_frequency_paths():
+    a = frequency_path([(-1.0, 1.0), (0.0, 1.0)])
+    glued = concatenate(a, frequency_path([(0.0, 1.0), (1.0, 1.0)]))
+    assert glued.eval(0.75).offset == 0.5
+    with pytest.raises(ValidationError, match="splice point"):
+        concatenate(a, frequency_path([(0.0, 1.5), (1.0, 1.0)]))
+    with pytest.raises(ValidationError, match="common model"):
+        concatenate(a, scalar_path_from([0.0, 1.0]))
 
 
 def test_concatenate_constant_paths():

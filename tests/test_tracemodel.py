@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sfcalc.errors import NumericError, ValidationError
+from sfcalc.path import OperatorPath
 from sfcalc.tracemodel import (AffineSymbol, BlockHermitian,
                                ClusterBoundaryWarning, FrequencyModel,
                                IndicatorSymbol, Interval, WeightedBlockModel,
@@ -262,7 +263,7 @@ def test_freq_trace_indicator_matches_density_integral(center, half_width):
 def test_affine_symbol_roots_and_lerp():
     a = AffineSymbol(offset=-1.0)
     b = AffineSymbol(offset=1.0)
-    mid = a.lerp(b, 0.5)
+    mid = OperatorPath(FrequencyModel(), [(0.0, a), (1.0, b)]).eval(0.5)
     assert isinstance(mid, AffineSymbol)
     assert mid.offset == 0.0
     assert mid.breakpoints() == (0.0,)
