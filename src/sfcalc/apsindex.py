@@ -227,14 +227,10 @@ def aps_index(prob):
 def _exp_moments(mu, h):
     """E1 = int_0^h exp(-mu t) dt and E2 = int_0^h t exp(-mu t) dt, mu > 0."""
     x = mu * h
-    if x < 1e-5:
-        e1 = h * (1.0 - x / 2.0 + x * x / 6.0)
-        e2 = h * h * (0.5 - x / 3.0 + x * x / 8.0)
-    else:
-        q = math.exp(-x)
-        e1 = -math.expm1(-x) / mu
-        e2 = (1.0 - q * (1.0 + x)) / (mu * mu)
-    return e1, e2
+    e1 = -math.expm1(-x) / mu
+    if x < 1e-3:  # the closed form of E2 cancels; its series does not
+        return e1, h * h * (0.5 - x / 3.0 + x * x / 8.0 - x ** 3 / 30.0)
+    return e1, (e1 - h * math.exp(-x)) / mu
 
 
 def halfline_aps_apply_inverse(d0, f, length, grid_size):

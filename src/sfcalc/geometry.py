@@ -50,12 +50,10 @@ def _diff_matrix(n):
 
 
 def _sym_sqrt(mat):
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    vals, vecs = np.linalg.eigh(mat)
     if np.any(vals <= 0):
         raise ValidationError("matrix square root needs a positive definite input")
-    root = (vecs * np.sqrt(vals)) @ vecs.T
-    inv_root = (vecs / np.sqrt(vals)) @ vecs.T
-    return root, inv_root
+    return (vecs * np.sqrt(vals)) @ vecs.T, (vecs / np.sqrt(vals)) @ vecs.T
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +92,16 @@ class CircleMetricPath:
         object.__setattr__(self, "u_samples", us)
         object.__setattr__(self, "coeff_samples", coeffs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_basis", _fourier_basis(n))
+        basis = _fourier_basis(n)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_gram_flat", basis.T @ ((math.pi / n) * basis))
         object.__setattr__(self, "_tangents", hermite_tangents(us, coeffs))
-        for u in np.linspace(0.0, 1.0, 4 * us.size + 1):
-            h = self.h_grid(float(u))
-            if h.min() < 1e-6:
-                raise ValidationError(
-                    f"conformal factor dips to {h.min():.3e} at u={u:.3f}")
+        probe = np.linspace(0.0, 1.0, 4 * us.size + 1)
+        h_min = (hermite(us, coeffs, self._tangents, probe)[0] @ basis.T).min(axis=1)
+        if h_min.min() < 1e-6:
+            j = int(np.argmax(h_min < 1e-6))
+            raise ValidationError(
+                f"conformal factor dips to {h_min[j]:.3e} at u={probe[j]:.3f}")
 
     def coefficients(self, u):
         u = float(u)
@@ -169,39 +170,44 @@ class SignatureOperator:
 
 
 def _degree_pieces(metric, u):
-    n = metric.n
-    h = metric.h_grid(u)
-    basis = metric._basis
-    weight = math.pi / n
-    gram_flat = basis.T @ (weight * basis)
-    mult_h = np.linalg.solve(gram_flat, basis.T @ (weight * (h[:, None] * basis)))
+    """Factor the metric at parameter u once.  Per form degree k = 0, 1:
+    ``(D_k, G_k, G_k^{1/2}, G_k^{-1/2}, star_k)``, the operator block, the
+    metric Gram matrix with its square roots, and the block of the
+    chirality involution that maps degree k to the other degree."""
+    weight = math.pi / metric.n
+    mult_h = np.linalg.solve(metric._gram_flat, metric._basis.T @ (
+        weight * (metric.h_grid(u)[:, None] * metric._basis)))
     mult_h_inv = np.linalg.inv(mult_h)
-    dx = _diff_matrix(n)
-    d0 = -1j * mult_h_inv @ dx          # on functions
-    d1 = -1j * dx @ mult_h_inv          # on 1-forms
-    g0 = gram_flat @ mult_h
-    g1 = gram_flat @ mult_h_inv
-    g0 = 0.5 * (g0 + g0.T)
-    g1 = 0.5 * (g1 + g1.T)
-    return d0, d1, g0, g1, mult_h, mult_h_inv
+    dx = _diff_matrix(metric.n)
+    pieces = []
+    for d, mult, star in ((-1j * mult_h_inv @ dx, mult_h, 1j * mult_h),
+                          (-1j * dx @ mult_h_inv, mult_h_inv, -1j * mult_h_inv)):
+        g = metric._gram_flat @ mult
+        g = 0.5 * (g + g.T)
+        pieces.append((d, g, *_sym_sqrt(g), star))
+    return pieces
+
+
+def _by_degree(blocks):
+    """Block-diagonal matrix with one block per form degree."""
+    m = len(blocks[0])
+    out = np.zeros((2 * m, 2 * m), dtype=np.result_type(*blocks))
+    out[:m, :m], out[m:, m:] = blocks
+    return out
+
+
+def _similar(pieces, blocks):
+    """G^{1/2} X G^{-1/2} per degree, for the degree blocks X of ``blocks``."""
+    return _by_degree([root @ x @ inv_root
+                       for (_, _, root, inv_root, _), x in zip(pieces, blocks)])
 
 
 def build_signature(metric, u):
     """Assemble the signature operator at metric parameter u."""
-    d0, d1, g0, g1, mult_h, mult_h_inv = _degree_pieces(metric, u)
-    n = metric.n
-    m = n + 1
-    dim = 2 * m
-    matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[:m, :m] = d0
-    matrix[m:, m:] = d1
-    tau = np.zeros((dim, dim), dtype=complex)
-    tau[:m, m:] = -1j * mult_h_inv      # star: 1-forms -> functions, times -i
-    tau[m:, :m] = 1j * mult_h           # star: functions -> 1-forms, times i
-    gram = np.zeros((dim, dim))
-    gram[:m, :m] = g0
-    gram[m:, m:] = g1
-    return SignatureOperator(matrix=matrix, tau=tau, gram=gram, n=n)
+    (d0, g0, _, _, star0), (d1, g1, _, _, star1) = _degree_pieces(metric, u)
+    tau = np.block([[np.zeros_like(star1), star1], [star0, np.zeros_like(star0)]])
+    return SignatureOperator(matrix=_by_degree([d0, d1]), tau=tau,
+                             gram=_by_degree([g0, g1]), n=metric.n)
 
 
 def engine_model(n):
@@ -210,17 +216,11 @@ def engine_model(n):
     return WeightedBlockModel([(n + 1, 1.0), (n + 1, 1.0)])
 
 
-def _engine_operator(metric, u, model):
+def _engine_operator(pieces, model):
     """Similarity transform of the signature operator that is Hermitian for
     the standard inner product:  G_u^{1/2} D_u G_u^{-1/2}, per degree."""
-    d0, d1, g0, g1, _, _ = _degree_pieces(metric, u)
-    m = metric.n + 1
-    mat = np.zeros((2 * m, 2 * m), dtype=complex)
-    for sl, dd, gg in ((slice(0, m), d0, g0), (slice(m, 2 * m), d1, g1)):
-        root, inv_root = _sym_sqrt(gg)
-        block = root @ dd @ inv_root
-        mat[sl, sl] = 0.5 * (block + block.conj().T)
-    return BlockHermitian(model, mat)
+    mat = _similar(pieces, [p[0] for p in pieces])
+    return BlockHermitian(model, 0.5 * (mat + mat.conj().T))
 
 
 def trivialization(metric, u):
@@ -229,22 +229,15 @@ def trivialization(metric, u):
     Returns U with U* G_0 U = G_u exactly (up to matrix square-root
     roundoff); U_0 is the identity.
     """
-    _, _, g0_0, g1_0, _, _ = _degree_pieces(metric, 0.0)
-    _, _, g0_u, g1_u, _, _ = _degree_pieces(metric, u)
-    m = metric.n + 1
-    out = np.zeros((2 * m, 2 * m))
-    for sl, g_ref, g_cur in ((slice(0, m), g0_0, g0_u),
-                             (slice(m, 2 * m), g1_0, g1_u)):
-        _, inv_root_ref = _sym_sqrt(g_ref)
-        root_cur, _ = _sym_sqrt(g_cur)
-        out[sl, sl] = inv_root_ref @ root_cur
-    return out
+    # G_0^{-1/2} G_u^{1/2} per degree
+    return _by_degree([ref[3] @ cur[2] for ref, cur in
+                       zip(_degree_pieces(metric, 0.0), _degree_pieces(metric, u))])
 
 
-def trivialized_path(metric, model=None):
+def trivialized_path(metric):
     """Engine-ready path of the trivialized signature operators."""
-    model = model or engine_model(metric.n)
-    samples = [(float(u), _engine_operator(metric, float(u), model))
+    model = engine_model(metric.n)
+    samples = [(float(u), _engine_operator(_degree_pieces(metric, float(u)), model))
                for u in metric.u_samples]
     return OperatorPath(model, samples, interpolation="linear")
 
@@ -255,67 +248,43 @@ def _fd4(values, delta):
     return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * delta)
 
 
-def _conjugation_residual(metric, u, s, model):
+def _conjugation_residual(metric, u, s, pieces, dec):
     """| tr(dB/du e^{-sB^2}) - tr(dD/du e^{-sD^2}) | at parameter u.
 
-    B is the similarity-transformed (standard-Hermitian) operator, D the
-    metric-self-adjoint one; the two traces agree identically, so the
-    residual measures discretization and roundoff only.  The u-derivatives
-    are fourth-order differences with step 1e-3.
+    B is the similarity-transformed (standard-Hermitian) operator, given by
+    its decomposition ``dec``, D the metric-self-adjoint one, factored as
+    ``pieces``; the two traces agree identically, so the residual measures
+    discretization and roundoff only.  The u-derivatives are fourth-order
+    differences with step 1e-3.
     """
     delta = 1e-3
-    b_probe = []
-    d_probe = []
-    for k in (-2, -1, 1, 2):
-        v = u + k * delta
-        b_probe.append(_engine_operator(metric, v, model).mat)
-        d_probe.append(build_signature(metric, v).matrix)
-    db = _fd4(b_probe, delta)
-    dd = _fd4(d_probe, delta)
-
-    b_now = _engine_operator(metric, u, model)
-    dec = eigh(b_now)
+    probes = [_degree_pieces(metric, u + k * delta) for k in (-2, -1, 1, 2)]
+    db = _fd4([_engine_operator(p, dec.model).mat for p in probes], delta)
+    dd = [_fd4([p[k][0] for p in probes], delta) for k in (0, 1)]
     heat = (dec.eigenvectors * np.exp(-s * dec.eigenvalues ** 2)) @ dec.eigenvectors.conj().T
-
-    d0, d1, g0, g1, _, _ = _degree_pieces(metric, u)
-    m = metric.n + 1
-    mixed = np.zeros((2 * m, 2 * m), dtype=complex)
-    for sl, gg in ((slice(0, m), g0), (slice(m, 2 * m), g1)):
-        root, inv_root = _sym_sqrt(gg)
-        mixed[sl, sl] = root @ dd[sl, sl] @ inv_root
     tr_b = complex(np.trace(db @ heat)).real
-    tr_d = complex(np.trace(mixed @ heat)).real
-    return abs(tr_b - tr_d), tr_b
+    tr_d = complex(np.trace(_similar(pieces, dd) @ heat)).real
+    return abs(tr_b - tr_d)
 
 
-def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral", "appendix"),
-                            s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_grid=64):
-    """Run the requested spectral-flow engines on the trivialized signature
-    path (the integral at s = 0.5, 2, 8, the appendix with the sine cutoff),
+def signature_flow_scenario(metric, s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_grid=64):
+    """Run the four spectral-flow engines on the trivialized signature path
+    (the integral at s = 0.5, 2, 8, the appendix with the sine cutoff),
     compute the suspension index, and collect the heat-trace diagnostics at
     five parameters in [0.25, 0.75] (conjugation-invariance residual,
-    two-term bound table, kernel traces, projection jumps)."""
+    two-term bound table, kernel traces, projection jumps).  Each of the
+    five parameters is factored and decomposed once."""
     from .apsindex import SuspensionProblem, aps_index
 
-    model = engine_model(metric.n)
-    path = trivialized_path(metric, model)
-    report = {"engines": {}, "n": metric.n}
-
-    if "crossing" in engines:
-        report["engines"]["crossing"] = sf_crossing(path)
-    if "phillips" in engines:
-        report["engines"]["phillips"] = sf_phillips(path)
-    if "integral" in engines:
-        report["engines"]["integral"] = {s: sf_integral(path, s)
-                                         for s in [0.5, 2.0, 8.0]}
-    if "appendix" in engines:
-        chi = CHI_PROFILES["sine"]()
+    path = trivialized_path(metric)
+    report = {"engines": {
+        "crossing": sf_crossing(path),
+        "phillips": sf_phillips(path),
+        "integral": {s: sf_integral(path, s) for s in [0.5, 2.0, 8.0]},
         # endpoint kernels are the harmonic modes, constant along the path
-        report["engines"]["appendix"] = sf_appendix(
-            path, chi, rescale=True, min_endpoint_gap=0.0)
-
-    prob = SuspensionProblem(path=path, grid_size=aps_grid)
-    report["aps_index"] = aps_index(prob)
+        "appendix": sf_appendix(path, CHI_PROFILES["sine"](), rescale=True,
+                                min_endpoint_gap=0.0)}, "n": metric.n}
+    report["aps_index"] = aps_index(SuspensionProblem(path=path, grid_size=aps_grid))
 
     decs = [eigh(path.sample(j)) for j in range(len(path.us))]
     report["kernel_traces"] = [d.weighted_count(d.kernel_mask()) for d in decs]
@@ -323,22 +292,22 @@ def signature_flow_scenario(metric, engines=("crossing", "phillips", "integral",
     report["projection_jumps"] = [float(np.linalg.norm(q - p, 2))
                                   for p, q in zip(projs[:-1], projs[1:])]
 
-    probe_us = np.linspace(0.25, 0.75, 5)
-    residuals = []
+    probes = []
+    for u in np.linspace(0.25, 0.75, 5):
+        pieces = _degree_pieces(metric, float(u))
+        probes.append((float(u), pieces, eigh(_engine_operator(pieces, path.model))))
     s_res = s_grid[0] if s_grid else 2.0
-    for u in probe_us:
-        res, _ = _conjugation_residual(metric, float(u), s_res, model)
-        residuals.append(res)
-    report["conjugation_residual"] = max(residuals)
+    report["conjugation_residual"] = max(
+        _conjugation_residual(metric, u, s_res, pieces, dec)
+        for u, pieces, dec in probes)
 
     cg_table = {}
     lhs_means = {}
     for s in s_grid:
         rows = []
-        for u in probe_us:
-            dec = eigh(_engine_operator(metric, float(u), model))
+        for u, _, dec in probes:
             lhs, term_i, term_ii = cg_bound(dec, s)
-            rows.append({"u": float(u), "lhs": lhs, "term_I": term_i,
+            rows.append({"u": u, "lhs": lhs, "term_I": term_i,
                          "term_II": term_ii,
                          "bound_holds": lhs <= term_i + term_ii + 1e-12})
         cg_table[s] = rows

@@ -9,6 +9,11 @@ panels, then once per level on both halves of every panel the level
 bisects.  Acceptance depends on the panel alone and accepted panels are
 summed by descending left end, so the result is bitwise that of depth-first
 bisection popping the right half first.
+
+A bisected panel whose error estimate is within 16 eps of the rule applied
+to |f| on its halves is at its rounding floor: bisecting it further cannot
+lower the estimate, so it is accepted, and the quadrature fails only if the
+summed estimates exceed the tolerance.
 """
 
 import math
@@ -22,8 +27,9 @@ _EPS = np.finfo(float).eps
 
 
 def _panel_values(f, panels):
-    """The 15-point rule on each ``(lo, hi)`` panel, from one call of ``f``
-    on all of their nodes; a non-finite panel value is a NumericError."""
+    """The 15-point rule applied to f and to |f| on each ``(lo, hi)`` panel,
+    from one call of ``f`` on all of their nodes; a non-finite panel value is
+    a NumericError."""
     nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES for lo, hi in panels]
     fvals = np.asarray(f(np.concatenate(nodes)), dtype=float)
     values = []
@@ -34,7 +40,9 @@ def _panel_values(f, panels):
             raise NumericError(
                 f"integrand is not finite on the panel [{lo!r}, {hi!r}]")
         values.append(value)
-    return values
+    half_widths = 0.5 * np.diff(panels, axis=1)[:, 0]
+    sizes = half_widths * (np.abs(fvals).reshape(len(panels), -1) @ _WEIGHTS)
+    return values, sizes.tolist()
 
 
 def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
@@ -48,7 +56,9 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     stops the quadrature at once with a NumericError naming it, and so does
     an ``abs_tol`` below eps times the summed |values| of the initial
     panels, which rounding keeps any error estimate from reaching; that
-    error carries the initial panels' sum.
+    error carries the initial panels' sum.  Panels accepted at their
+    rounding floor whose estimates sum past ``abs_tol`` are a NumericError
+    carrying the value.
     """
     if b == a:
         return 0.0, 0.0, 0
@@ -64,7 +74,7 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     min_width = 1e-14 * span
 
     initial = list(zip(edges[:-1], edges[1:]))
-    values = _panel_values(f, initial)
+    values, _ = _panel_values(f, initial)
     rounding = _EPS * sum(abs(value) for value in values)
     if abs_tol < rounding:
         raise NumericError(
@@ -83,13 +93,14 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
                 partial=sum(p[1] for p in accepted) + sum(p[2] for p in pending))
         halves = [half for lo, hi, _ in pending
                   for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-        values = _panel_values(f, halves)
+        values, sizes = _panel_values(f, halves)
         used += len(halves)
         level, pending, worst = pending, [], 0.0
         for k, (lo, hi, whole) in enumerate(level):
             refined = values[2 * k] + values[2 * k + 1]
             err = abs(whole - refined)
-            if err <= abs_tol * (hi - lo) / span or (hi - lo) <= min_width:
+            if (err <= abs_tol * (hi - lo) / span or (hi - lo) <= min_width
+                    or err <= 16 * _EPS * (sizes[2 * k] + sizes[2 * k + 1])):
                 accepted.append((lo, refined, err))
             else:
                 worst = max(worst, err)
@@ -100,4 +111,8 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     for _, refined, err in sorted(accepted, key=lambda p: p[0], reverse=True):
         total += refined
         err_total += err
+    if err_total > abs_tol:
+        raise NumericError(
+            f"quadrature stopped at its rounding floor with error estimate "
+            f"{err_total:.3e} above the tolerance {abs_tol:.3e}", partial=total)
     return total, err_total, used

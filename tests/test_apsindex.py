@@ -5,14 +5,15 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import sfcalc
-from sfcalc.apsindex import (SCHEMES, SuspensionProblem, aps_index, assemble,
-                             halfline_aps_apply_inverse, halfline_residual,
-                             perturbation_truncation_check)
+from sfcalc.apsindex import (SCHEMES, SuspensionProblem, _exp_moments,
+                             aps_index, assemble, halfline_aps_apply_inverse,
+                             halfline_residual, perturbation_truncation_check)
 from sfcalc.engines import sf_crossing
 from sfcalc.errors import PreconditionError, ValidationError
 from sfcalc.generators import (involution_path, random_block_model,
@@ -325,6 +326,21 @@ def test_grid_convergence_script_index_equals_flow():
 
 def unit_model():
     return WeightedBlockModel([(1, 1.0)])
+
+
+@pytest.mark.parametrize("x", [1e-8, 1.01e-5, 9.9e-4, 1.01e-3, 0.1, 10.0])
+@pytest.mark.parametrize("h", [0.01, 2.0])
+def test_exp_moments_match_50_digit_reference(x, h):
+    # E1 = (1 - e^{-x}) / mu and E2 = (1 - e^{-x} (1 + x)) / mu^2 with
+    # x = mu h, on both sides of the switch from the series at x = 1e-3
+    mu = x / h
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m, step = Decimal(mu), Decimal(h)
+        q = (-(m * step)).exp()
+        ref = [float((1 - q) / m), float((1 - q * (1 + m * step)) / (m * m))]
+    for got, want in zip(_exp_moments(mu, h), ref):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_halfline_positive_eigenvalue_oracle():

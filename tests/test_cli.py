@@ -17,8 +17,10 @@ import sfcalc
 from sfcalc.cli import (FIELDS, GENERATOR_PARAMS, _scenario_dir, list_scenarios,
                         load_scenario, main, run_scenario, validate_scenario,
                         ScenarioError)
+from sfcalc.engines import sf_crossing, sf_integral, sf_phillips
 from sfcalc.errors import NumericError
-from sfcalc.tracemodel import WeightedBlockModel
+from sfcalc.path import OperatorPath
+from sfcalc.tracemodel import BlockHermitian, WeightedBlockModel
 
 
 def bundled(name):
@@ -222,8 +224,75 @@ def test_tolerance_below_rounding_exits_3_at_once(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_panels_at_their_rounding_floor_stop_bisecting(tmp_path, capsys):
+    # at weight 3e6 a panel's share of quad_tol falls below the rounding of
+    # its own sum long before the whole integral stops converging; at 1e7
+    # the whole integral is below rounding and is refused before bisecting
+    doc = json.load(open(bundled("random_agreement.json")))
+
+    def run(weight):
+        doc["model"]["blocks"][0][1] = weight
+        scen = tmp_path / f"weight_{weight:g}.json"
+        scen.write_text(json.dumps(doc))
+        return main(["run", str(scen), "--out", str(tmp_path / "out")])
+
+    assert run(3e6) == 0
+    start = time.perf_counter()
+    assert run(1e7) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "sf_appendix: tolerance 1.000e-09 is below the rounding error" \
+        in capsys.readouterr().err
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "nonsense"]) == 2
+
+
+def test_verify_engines_suite_passes(capsys):
+    assert main(["verify", "engines"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS  engine-agreement seed=") == 50
+    assert "50/50 checks passed" in out
+
+
+def test_list_scenarios_prints_the_bundled_names(capsys):
+    assert main(["list-scenarios"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "circle_signature.json", "involution_norm.json", "random_agreement.json",
+        "single_crossing.json", "zsign_dirac.json"]
+
+
+def test_explicit_complex_samples_as_re_im_pairs(tmp_path):
+    # block weights 1 and 0.5; the 2x2 block has complex off-diagonal
+    # entries and crosses once, the 1x1 block crosses once: flow 1.5
+    samples = []
+    for u, top, corner in (
+            (0.0, [[-1.0, 0.4 + 0.3j], [0.4 - 0.3j, 1.2]], -0.7),
+            (0.5, [[0.2, 0.5 - 0.6j], [0.5 + 0.6j, 0.9]], 0.1),
+            (1.0, [[1.1, -0.2 + 0.5j], [-0.2 - 0.5j, 1.4]], 0.8)):
+        mat = np.zeros((3, 3), dtype=complex)
+        mat[:2, :2] = top
+        mat[2, 2] = corner
+        samples.append((u, mat))
+    doc = {"schema": 1, "name": "complex_explicit",
+           "model": {"type": "weighted_blocks", "blocks": [[2, 1.0], [1, 0.5]]},
+           "path": {"type": "explicit", "samples": [
+               {"u": u, "matrix": [[[z.real, z.imag] for z in row] for row in mat]}
+               for u, mat in samples]},
+           "engines": ["crossing", "phillips", "integral"],
+           "engine_params": {"s_grid": [1.0]},
+           "aps": {"enabled": False},
+           "assertions": {"expected_value": 1.5}}
+    record, code = run_scenario(doc, out_dir=str(tmp_path))
+    assert code == 0
+    model = WeightedBlockModel([(2, 1.0), (1, 0.5)])
+    path = OperatorPath(model, [(u, BlockHermitian(model, mat)) for u, mat in samples])
+    expected = {"crossing": sf_crossing(path), "phillips": sf_phillips(path),
+                "integral[s=1]": sf_integral(path, 1.0)}
+    # the snapped values are 1.5 for any path with these crossings; the raw
+    # integral depends on every entry
+    assert {name: res.raw for name, res in record.engine_results.items()} == {
+        name: res.raw for name, res in expected.items()}
 
 
 def test_run_record_agreement_antisymmetric(single_crossing_run):

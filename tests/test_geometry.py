@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sfcalc import verify
 from sfcalc.errors import ValidationError
-from sfcalc.geometry import (CircleMetricPath, build_signature,
+from sfcalc.geometry import (METRIC_PROFILES, CircleMetricPath, build_signature,
                              dirac_family_scenario, engine_model,
                              signature_flow_scenario, standard_metric_paths,
                              trivialization, trivialized_path)
@@ -100,10 +101,11 @@ def test_signature_scenario_constant_metric_all_zero():
     us = np.linspace(0.0, 1.0, 5)
     coeffs = np.tile(np.concatenate([[1.0], np.zeros(8)]), (5, 1))
     metric = CircleMetricPath(us, coeffs, n=8)
-    report = signature_flow_scenario(metric, engines=("crossing", "phillips"),
-                                     s_grid=(2.0, 4.0), aps_grid=32)
+    report = signature_flow_scenario(metric, s_grid=(2.0, 4.0), aps_grid=32)
     assert report["engines"]["crossing"].value == 0.0
     assert report["engines"]["phillips"].value == 0.0
+    assert report["engines"]["appendix"].value == 0.0
+    assert all(r.value == 0.0 for r in report["engines"]["integral"].values())
     assert report["aps_index"] == 0.0
 
 
@@ -131,6 +133,16 @@ def test_aps_index_stable_under_grid_doubling_for_signature():
     prob = SuspensionProblem(path=trivialized_path(metric), grid_size=32)
     assert aps_index(prob) == 0.0
     assert aps_index(replace(prob, grid_size=64)) == 0.0
+
+
+def test_geometry_suite_passes_at_n_8(monkeypatch):
+    # the suite's three metric paths at n = 8 instead of 16
+    monkeypatch.setattr(verify, "standard_metric_paths",
+                        lambda n: standard_metric_paths(n=8))
+    results = verify.geometry_suite()
+    assert [case for case, _, _ in results] == [
+        f"signature-vanishing {name}" for name in METRIC_PROFILES]
+    assert all(ok for _, ok, _ in results), results
 
 
 def test_dirac_family_window():

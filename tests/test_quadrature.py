@@ -55,6 +55,22 @@ def test_non_finite_panel_fails_at_once_naming_the_panel():
     assert calls == [30]  # both initial panels in one call, no bisection
 
 
+def test_rounding_floor_above_tolerance_is_refused_after_one_level():
+    # 1e10 sin(20 pi x) integrates to 0 over [0, 1], so the initial panel
+    # passes the first-level check, but the rounding of each half's own sum,
+    # about eps * 1e10, stays above abs_tol however far it is bisected
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return 1e10 * np.sin(20.0 * np.pi * x)
+
+    with pytest.raises(NumericError, match="rounding floor") as info:
+        adaptive_gauss_legendre(f, 0.0, 1.0, abs_tol=1e-8)
+    assert abs(info.value.partial) < 1e-5
+    assert calls == [15, 30]
+
+
 def _depth_first(f, a, b, abs_tol, breakpoints=()):
     """Reference: depth-first bisection that pops the right half first and
     sums accepted panels as it pops them.  Returns (value, error, panels,

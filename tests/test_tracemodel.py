@@ -102,6 +102,14 @@ def test_lattice_step():
     assert WeightedBlockModel([(1, math.pi)]).lattice_step() is None
 
 
+def test_snap_refuses_a_value_off_the_lattice():
+    model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
+    assert model.snap(1.4) == 1.5
+    with pytest.raises(NumericError, match="away from the weight lattice") as info:
+        model.snap(1.3)   # 0.2 from 1.5, more than a quarter step
+    assert info.value.partial == 1.3
+
+
 # ---------------------------------------------------------------------------
 # eigendecomposition
 
