@@ -56,13 +56,10 @@ def random_path(rng, model, num_samples=9, endpoint_flat=False):
     f1 = _push_away_from_zero(random_hermitian(rng, model, 1.5), 0.15)
     bumps = [random_hermitian(rng, model, 0.6) for _ in range(2)]
     us = np.linspace(0.0, 1.0, num_samples)
-    samples = []
-    for u in us:
-        mat = (1.0 - u) * f0.mat + u * f1.mat
-        mat = mat + np.sin(np.pi * u) * bumps[0].mat \
-            + np.sin(2.0 * np.pi * u) * bumps[1].mat
-        samples.append((float(u), BlockHermitian(model, mat)))
-    path = OperatorPath(model, samples, interpolation="linear")
+    u = us[:, None, None]
+    stack = (1.0 - u) * f0.mat + u * f1.mat + np.sin(np.pi * u) * bumps[0].mat \
+        + np.sin(2.0 * np.pi * u) * bumps[1].mat
+    path = OperatorPath._of_stack(model, us, stack)
     if endpoint_flat:
         path = flatten_endpoints(path, margin=0.15,
                                  num_samples=max(2 * num_samples + 1, 25))
@@ -73,9 +70,8 @@ def scalar_linear_path(start, end, num_samples=9):
     """Scalar path  u -> (1 - u) start + u end  on a single unit block."""
     model = WeightedBlockModel([(1, 1.0)])
     us = np.linspace(0.0, 1.0, num_samples)
-    samples = [(float(u), BlockHermitian(model, [[(1 - u) * start + u * end]]))
-               for u in us]
-    return OperatorPath(model, samples, interpolation="linear")
+    values = (1 - us) * start + us * end
+    return OperatorPath._of_stack(model, us, values.reshape(-1, 1, 1).astype(complex))
 
 
 def single_crossing_path(num_samples=9):
@@ -107,19 +103,15 @@ def involution_path(model, minus_dims, rng=None):
             basis, _ = np.linalg.qr(x)
         b0[sl, sl] = basis @ np.diag(diag) @ basis.conj().T
         pminus[sl, sl] = basis[:, :k] @ basis[:, :k].conj().T
-    model_b0 = BlockHermitian(model, b0)
-    model_p = BlockHermitian(model, pminus)
+    # the checked constructor symmetrizes the conjugated diagonals
+    b0 = BlockHermitian(model, b0).mat
+    pminus = BlockHermitian(model, pminus).mat
 
     us = np.linspace(0.0, 1.0, 9)
-    leg1 = OperatorPath(model, [
-        (float(u), BlockHermitian(model, model_b0.mat + 4.0 * (u / 2.0) * model_p.mat))
-        for u in us], interpolation="linear")
-    eye = model.identity()
-    leg2 = OperatorPath(model, [(float(u), eye) for u in us],
-                        interpolation="linear")
-    glued = concatenate(leg1, leg2)
+    legs = [b0 + 4.0 * (us[:, None, None] / 2.0) * pminus,
+            np.repeat(np.eye(n, dtype=complex)[None], 9, axis=0)]
     expected = float(sum(w * k for (dim, w), k in zip(model.blocks, minus_dims)))
-    return glued, expected
+    return concatenate(*(OperatorPath._of_stack(model, us, leg) for leg in legs)), expected
 
 
 def random_unitary_path(rng, model, num_samples):
@@ -127,10 +119,6 @@ def random_unitary_path(rng, model, num_samples):
     theta(u) = 0.7 sin(pi u), so theta(0) = theta(1) = 0."""
     gen = random_hermitian(rng, model, 1.0)
     dec = eigh(gen)
-    us = np.linspace(0.0, 1.0, num_samples)
-    mats = []
-    for u in us:
-        theta = 0.7 * np.sin(np.pi * u)
-        v = dec.eigenvectors
-        mats.append((v * np.exp(1j * theta * dec.eigenvalues)) @ v.conj().T)
-    return mats
+    v = dec.eigenvectors
+    return [(v * np.exp(1j * theta * dec.eigenvalues)) @ v.conj().T
+            for theta in 0.7 * np.sin(np.pi * np.linspace(0.0, 1.0, num_samples))]

@@ -18,9 +18,8 @@ from .engines import (CHI_PROFILES, cg_bound, sf_appendix, sf_crossing,
                       sf_integral, sf_phillips)
 from .errors import DomainError, ValidationError
 from .path import OperatorPath, flat_profile, hermite, hermite_tangents
-from .tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
-                         IndicatorSymbol, WeightedBlockModel, eigh,
-                         freq_trace)
+from .tracemodel import (BlockHermitian, FrequencyModel, IndicatorSymbol,
+                         WeightedBlockModel, eigh, freq_trace)
 
 __all__ = ["CircleMetricPath", "SignatureOperator", "build_signature",
            "trivialization", "trivialized_path", "signature_flow_scenario",
@@ -216,11 +215,12 @@ def engine_model(n):
     return WeightedBlockModel([(n + 1, 1.0), (n + 1, 1.0)])
 
 
-def _engine_operator(pieces, model):
+def _engine_matrix(pieces):
     """Similarity transform of the signature operator that is Hermitian for
-    the standard inner product:  G_u^{1/2} D_u G_u^{-1/2}, per degree."""
+    the standard inner product:  G_u^{1/2} D_u G_u^{-1/2}, per degree,
+    symmetrized so that it is exactly Hermitian."""
     mat = _similar(pieces, [p[0] for p in pieces])
-    return BlockHermitian(model, 0.5 * (mat + mat.conj().T))
+    return 0.5 * (mat + mat.conj().T)
 
 
 def trivialization(metric, u):
@@ -236,10 +236,8 @@ def trivialization(metric, u):
 
 def trivialized_path(metric):
     """Engine-ready path of the trivialized signature operators."""
-    model = engine_model(metric.n)
-    samples = [(float(u), _engine_operator(_degree_pieces(metric, float(u)), model))
-               for u in metric.u_samples]
-    return OperatorPath(model, samples, interpolation="linear")
+    return OperatorPath._of_stack(engine_model(metric.n), metric.u_samples.copy(), np.stack(
+        [_engine_matrix(_degree_pieces(metric, float(u))) for u in metric.u_samples]))
 
 
 def _fd4(values, delta):
@@ -259,7 +257,7 @@ def _conjugation_residual(metric, u, s, pieces, dec):
     """
     delta = 1e-3
     probes = [_degree_pieces(metric, u + k * delta) for k in (-2, -1, 1, 2)]
-    db = _fd4([_engine_operator(p, dec.model).mat for p in probes], delta)
+    db = _fd4([_engine_matrix(p) for p in probes], delta)
     dd = [_fd4([p[k][0] for p in probes], delta) for k in (0, 1)]
     heat = (dec.eigenvectors * np.exp(-s * dec.eigenvalues ** 2)) @ dec.eigenvectors.conj().T
     tr_b = complex(np.trace(db @ heat)).real
@@ -295,7 +293,8 @@ def signature_flow_scenario(metric, s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_gr
     probes = []
     for u in np.linspace(0.25, 0.75, 5):
         pieces = _degree_pieces(metric, float(u))
-        probes.append((float(u), pieces, eigh(_engine_operator(pieces, path.model))))
+        probes.append((float(u), pieces,
+                       eigh(BlockHermitian._trusted(path.model, _engine_matrix(pieces)))))
     s_res = s_grid[0] if s_grid else 2.0
     report["conjugation_residual"] = max(
         _conjugation_residual(metric, u, s_res, pieces, dec)
@@ -323,15 +322,21 @@ def signature_flow_scenario(metric, s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_gr
 # ---------------------------------------------------------------------------
 # frequency-model Dirac family
 
+def _dirac_path(model, u0, u1, num_samples):
+    """The symbols xi + u for u from u0 to u1, at ``num_samples`` evenly
+    spaced path parameters."""
+    ts = np.linspace(0.0, 1.0, num_samples)
+    offsets = u0 + ts * (u1 - u0)
+    return OperatorPath._of_stack(model, ts, np.column_stack([offsets, np.ones_like(ts)]))
+
+
 def dirac_family_scenario(u_range=(-1.0, 1.0)):
     """Shifted-symbol family xi + u over ``u_range``, sampled at 5 points, on
     the default frequency model: nonzero spectral flow with identically
     trivial kernels."""
     u0, u1 = float(u_range[0]), float(u_range[1])
     model = FrequencyModel()
-    ts = np.linspace(0.0, 1.0, 5)
-    samples = [(float(t), AffineSymbol(offset=u0 + t * (u1 - u0))) for t in ts]
-    path = OperatorPath(model, samples, interpolation="linear")
+    path = _dirac_path(model, u0, u1, 5)
     flow = sf_phillips(path)
 
     lo, hi = sorted((-u1, -u0))
@@ -339,12 +344,9 @@ def dirac_family_scenario(u_range=(-1.0, 1.0)):
         if hi > lo else 0.0
 
     tol = 1e-9
-    kernel_traces = []
-    for t in ts:
-        offset = u0 + float(t) * (u1 - u0)
-        kernel_traces.append(freq_trace(
-            model, IndicatorSymbol(-offset - tol, -offset + tol),
-            support_hint=(-offset - tol, -offset + tol)))
+    kernel_traces = [freq_trace(model, IndicatorSymbol(-x - tol, -x + tol),
+                                support_hint=(-x - tol, -x + tol))
+                     for x in path._stack[:, 0].tolist()]
     return {
         "sf_phillips": flow,
         "swept_window_trace": swept,

@@ -2,12 +2,12 @@
 
 An :class:`OperatorPath` samples a family u -> F_u on [0, 1] and provides
 interpolation, differentiation, concatenation and unitary conjugation.
-Samples are either :class:`~sfcalc.tracemodel.BlockHermitian` elements or
-affine frequency-model symbols, held in one stack of matrices or of
-(offset, slope) rows; interpolation is entrywise with real coefficients, so
-interpolated values and derivatives are exactly Hermitian and block-diagonal
-and are not validated again.  Block paths evaluate a whole array of
-parameters at once into a stack of matrices.
+Its samples, block matrices or affine symbols as (offset, slope) rows, are
+held in one stack.  ``OperatorPath(model, samples)`` checks samples from
+outside; the paths the library builds are stacks of exactly Hermitian,
+block-diagonal matrices and skip those checks.  Interpolation is entrywise
+with real coefficients, so interpolated values and derivatives are exact
+too.  Block paths evaluate an array of parameters into a stack at once.
 """
 
 import numpy as np
@@ -45,23 +45,17 @@ def hermite_tangents(us, values):
     (stacked along the first axis): three-point differences inside,
     second-order one-sided differences at both ends."""
     m = values
+    h = np.diff(us).reshape((-1,) + (1,) * (m.ndim - 1))
+    ha, hb = h[:-1], h[1:]
     tangents = np.empty_like(m)
-    for j in range(len(us)):
-        if j == 0:
-            h0, h1 = us[1] - us[0], us[2] - us[1]
-            tangents[0] = (-(2 * h0 + h1) / (h0 * (h0 + h1)) * m[0]
-                           + (h0 + h1) / (h0 * h1) * m[1]
-                           - h0 / (h1 * (h0 + h1)) * m[2])
-        elif j == len(us) - 1:
-            h0, h1 = us[-2] - us[-3], us[-1] - us[-2]
-            tangents[-1] = (h1 / (h0 * (h0 + h1)) * m[-3]
-                            - (h0 + h1) / (h0 * h1) * m[-2]
-                            + (2 * h1 + h0) / (h1 * (h0 + h1)) * m[-1])
-        else:
-            ha, hb = us[j] - us[j - 1], us[j + 1] - us[j]
-            tangents[j] = (-hb / (ha * (ha + hb)) * m[j - 1]
-                           + (hb - ha) / (ha * hb) * m[j]
-                           + ha / (hb * (ha + hb)) * m[j + 1])
+    tangents[1:-1] = (-hb / (ha * (ha + hb)) * m[:-2] + (hb - ha) / (ha * hb) * m[1:-1]
+                      + ha / (hb * (ha + hb)) * m[2:])
+    h0, h1 = h[0], h[1]
+    tangents[0] = (-(2 * h0 + h1) / (h0 * (h0 + h1)) * m[0] + (h0 + h1) / (h0 * h1) * m[1]
+                   - h0 / (h1 * (h0 + h1)) * m[2])
+    h0, h1 = h[-2], h[-1]
+    tangents[-1] = (h1 / (h0 * (h0 + h1)) * m[-3] - (h0 + h1) / (h0 * h1) * m[-2]
+                    + (2 * h1 + h0) / (h1 * (h0 + h1)) * m[-1])
     return tangents
 
 
@@ -89,6 +83,21 @@ def hermite(us, values, tangents, u):
     return value, slope
 
 
+def _check_parameters(model, us, interpolation):
+    """The checks of a path's parameters, its interpolation and its model."""
+    if interpolation not in ("linear", "cubic"):
+        raise ValidationError(f"unknown interpolation {interpolation!r}")
+    least = 3 if interpolation == "cubic" else 2
+    if len(us) < least:
+        raise ValidationError(f"a {interpolation} path needs at least {least} samples")
+    if us[0] != 0.0 or us[-1] != 1.0:
+        raise ValidationError("path parameters must start at 0 and end at 1")
+    if np.any(np.diff(us) <= 0):
+        raise ValidationError("path parameters must be strictly increasing")
+    if isinstance(model, FrequencyModel) and interpolation == "cubic":
+        raise ValidationError("frequency paths support linear interpolation only")
+
+
 class OperatorPath:
     """Sampled path u -> F_u with u_0 = 0 and u_last = 1.
 
@@ -97,45 +106,41 @@ class OperatorPath:
     """
 
     def __init__(self, model, samples, interpolation="linear"):
-        if interpolation not in ("linear", "cubic"):
-            raise ValidationError(f"unknown interpolation {interpolation!r}")
         samples = [(float(u), F) for u, F in samples]
-        least = 3 if interpolation == "cubic" else 2
-        if len(samples) < least:
-            raise ValidationError(f"a {interpolation} path needs at least {least} samples")
         us = np.array([u for u, _ in samples])
-        if us[0] != 0.0 or us[-1] != 1.0:
-            raise ValidationError("path parameters must start at 0 and end at 1")
-        if np.any(np.diff(us) <= 0):
-            raise ValidationError("path parameters must be strictly increasing")
-
-        self.model = model
-        self.interpolation = interpolation
-        self.us = us
-
+        _check_parameters(model, us, interpolation)
         if isinstance(model, FrequencyModel):
-            if interpolation == "cubic":
-                raise ValidationError("frequency paths support linear interpolation only")
             if not all(isinstance(F, AffineSymbol) for _, F in samples):
                 raise ValidationError("frequency-path samples must be affine symbols")
-            self._stack = np.array([(F.offset, F.slope) for _, F in samples], dtype=float)
+            stack = np.array([(F.offset, F.slope) for _, F in samples], dtype=float)
         elif isinstance(model, WeightedBlockModel):
-            mats = []
             for _, F in samples:
                 if not isinstance(F, BlockHermitian):
                     raise ValidationError("block-path samples must be BlockHermitian")
                 if F.model.blocks != model.blocks:
                     raise ValidationError("all samples must live on the path's model")
-                mats.append(F.mat)
-            self._stack = np.stack(mats)
-            if interpolation == "cubic":
-                self._tangents = hermite_tangents(us, self._stack)
+            stack = np.stack([F.mat for _, F in samples])
         else:
             raise ValidationError("unsupported model type")
+        self._setup(model, us, stack, interpolation)
 
-        scale = max(1.0, np.abs(self._stack).max())
+    @classmethod
+    def _of_stack(cls, model, us, stack, interpolation="linear"):
+        """A path from samples the library built exactly Hermitian and
+        block-diagonal (or symbol rows): only the parameters are checked."""
+        _check_parameters(model, us, interpolation)
+        path = cls.__new__(cls)
+        path._setup(model, us, stack, interpolation)
+        return path
+
+    def _setup(self, model, us, stack, interpolation):
+        self.model, self.interpolation = model, interpolation
+        self.us, self._stack = us, stack
+        if interpolation == "cubic":
+            self._tangents = hermite_tangents(us, stack)
+        scale = max(1.0, np.abs(stack).max())
         self.endpoint_flat = all(
-            np.abs(self._stack[i] - self._stack[j]).max() <= 1e-12 * scale
+            np.abs(stack[i] - stack[j]).max() <= 1e-12 * scale
             for i, j in ((0, 1), (-2, -1)))
 
     # -- basic access -------------------------------------------------------
@@ -212,13 +217,9 @@ class OperatorPath:
 # path combinators
 
 def _same_model(ma, mb):
-    if ma is mb:
-        return True
     if isinstance(ma, WeightedBlockModel) and isinstance(mb, WeightedBlockModel):
         return ma.blocks == mb.blocks
-    if isinstance(ma, FrequencyModel) and isinstance(mb, FrequencyModel):
-        return ma == mb
-    return False
+    return ma == mb  # FrequencyModel compares its fields, all else identity
 
 
 def concatenate(a, b):
@@ -230,9 +231,9 @@ def concatenate(a, b):
     if mismatch > 1e-10 * max(1.0, np.abs(end_a).max()):
         raise ValidationError(
             f"paths do not match at the splice point (gap {mismatch:.3e})")
-    samples = [(u / 2.0, a.sample(j)) for j, u in enumerate(a.us)]
-    samples += [(0.5 + u / 2.0, b.sample(j)) for j, u in enumerate(b.us) if u > 0.0]
-    return OperatorPath(a.model, samples, interpolation=a.interpolation)
+    return OperatorPath._of_stack(
+        a.model, np.concatenate([a.us / 2.0, 0.5 + b.us[1:] / 2.0]),
+        np.concatenate([a._stack, b._stack[1:]]), a.interpolation)
 
 
 def conjugate(path, unitaries):
@@ -257,16 +258,14 @@ def conjugate(path, unitaries):
         if defect > 1e-10 * np.sqrt(n):
             raise ValidationError(f"sample {j}: matrix is not unitary "
                                   f"(defect {defect:.3e})")
-        samples.append((u, BlockHermitian(path.model,
-                                          U @ path.sample(j).mat @ U.conj().T)))
+        samples.append((u, BlockHermitian(path.model, U @ path._stack[j] @ U.conj().T)))
     return OperatorPath(path.model, samples, interpolation=path.interpolation)
 
 
 def reverse(path):
     """The path u -> F_{1-u}."""
-    samples = [(1.0 - u, path.sample(j)) for j, u in enumerate(path.us)]
-    samples.reverse()
-    return OperatorPath(path.model, samples, interpolation=path.interpolation)
+    return OperatorPath._of_stack(path.model, 1.0 - path.us[::-1],
+                                  path._stack[::-1].copy(), path.interpolation)
 
 
 def direct_sum(a, b):
@@ -275,14 +274,11 @@ def direct_sum(a, b):
         raise ValidationError("direct sums are defined for block paths only")
     model = a.model.direct_sum(b.model)
     us = np.union1d(a.us, b.us)
-    na, nb = a.model.dim, b.model.dim
-    samples = []
-    for u in us:
-        mat = np.zeros((na + nb, na + nb), dtype=complex)
-        mat[:na, :na] = a.eval(u).mat
-        mat[na:, na:] = b.eval(u).mat
-        samples.append((float(u), BlockHermitian(model, mat)))
-    return OperatorPath(model, samples, interpolation="linear")
+    na = a.model.dim
+    stack = np.zeros((len(us), model.dim, model.dim), dtype=complex)
+    stack[:, :na, :na] = a.eval(us)
+    stack[:, na:, na:] = b.eval(us)
+    return OperatorPath._of_stack(model, us, stack)
 
 
 def reparametrize(path, phi, num_samples=None):
@@ -291,8 +287,7 @@ def reparametrize(path, phi, num_samples=None):
         num_samples = max(2 * len(path.us) + 1, 17)
     ts = np.linspace(0.0, 1.0, num_samples)
     warped = np.clip([phi(t) for t in ts], 0.0, 1.0)
-    return OperatorPath(path.model, _resampled(path, ts, warped),
-                        interpolation=path.interpolation)
+    return OperatorPath._of_stack(path.model, ts, path.eval(warped), path.interpolation)
 
 
 def flatten_endpoints(path, margin=0.15, num_samples=None):
@@ -300,11 +295,5 @@ def flatten_endpoints(path, margin=0.15, num_samples=None):
     if num_samples is None:
         num_samples = max(2 * len(path.us) + 1, 33)
     ts = np.linspace(0.0, 1.0, num_samples)
-    return OperatorPath(path.model, _resampled(path, ts, flat_profile(ts, margin)),
-                        interpolation=path.interpolation)
-
-
-def _resampled(path, ts, warped):
-    """Samples (t, F at warped[t]) of a block path, evaluated in one call."""
-    return [(float(t), BlockHermitian._trusted(path.model, mat))
-            for t, mat in zip(ts, path.eval(warped))]
+    return OperatorPath._of_stack(path.model, ts, path.eval(flat_profile(ts, margin)),
+                                  path.interpolation)

@@ -183,7 +183,7 @@ class BlockHermitian:
     and vanishing off-block entries, up to roundoff, and stores the
     symmetrized matrix.
     Values the library builds exactly Hermitian and block-diagonal (path
-    interpolation) skip the checks.
+    samples and interpolated values) skip the checks.
     """
 
     model: WeightedBlockModel

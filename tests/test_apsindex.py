@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import sfcalc
-from sfcalc.apsindex import (SCHEMES, SuspensionProblem, _exp_moments,
-                             aps_index, assemble, halfline_aps_apply_inverse,
-                             halfline_residual, perturbation_truncation_check)
+from sfcalc.apsindex import (SCHEMES, SuspensionProblem, _block_matrices,
+                             _exp_moments, _kernel_dim, aps_index, assemble,
+                             halfline_aps_apply_inverse, halfline_residual,
+                             perturbation_truncation_check)
 from sfcalc.engines import sf_crossing
 from sfcalc.errors import PreconditionError, ValidationError
 from sfcalc.generators import (involution_path, random_block_model,
@@ -251,6 +252,25 @@ def test_index_equals_flow_with_kernel_at_start():
     path = flatten_endpoints(scalar_linear_path(0.0, 1.0), margin=0.15)
     assert aps_index(SuspensionProblem(path=path, grid_size=128)) \
         == sf_crossing(path).value
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("geometry, length", [("interval-APS", None), ("cylinder", 0.5)])
+def test_block_with_a_kernel_and_a_cokernel(scheme, geometry, length):
+    # diag(2u - 1, 1 - 2u): one eigenvalue crosses upward, one downward, in
+    # one block, so A and A_adj are square with a one-dimensional kernel
+    # each (singular value about 1e-17 sigma_max, the next at 1.7e-2 or
+    # more); every route to the kernel count has to resolve this block
+    model = WeightedBlockModel([(2, 1.0)])
+    path = flatten_endpoints(OperatorPath(model, [
+        (u, BlockHermitian(model, np.diag([2 * u - 1, 1 - 2 * u]))) for u in (0.0, 1.0)]))
+    prob = SuspensionProblem(path=path, grid_size=64, scheme=scheme,
+                             geometry=geometry, cylinder_length=length)
+    (a, adj), = _block_matrices(prob)
+    assert a.shape[0] == a.shape[1] and adj.shape[0] == adj.shape[1]
+    assert _kernel_dim(a, prob.kernel_threshold) == 1
+    assert _kernel_dim(adj, prob.kernel_threshold) == 1
+    assert aps_index(prob) == sf_crossing(path).value == 0.0
 
 
 def _expand_adjoint_null(path, v, grid, dim):

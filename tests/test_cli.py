@@ -17,7 +17,7 @@ import sfcalc
 from sfcalc.cli import (FIELDS, GENERATOR_PARAMS, _scenario_dir, list_scenarios,
                         load_scenario, main, run_scenario, validate_scenario,
                         ScenarioError)
-from sfcalc.engines import sf_crossing, sf_integral, sf_phillips
+from sfcalc.engines import SpectralFlowResult, sf_crossing, sf_integral, sf_phillips
 from sfcalc.errors import NumericError
 from sfcalc.path import OperatorPath
 from sfcalc.tracemodel import BlockHermitian, WeightedBlockModel
@@ -110,6 +110,37 @@ def test_failed_assertion_exit_code(tmp_path):
     bad = tmp_path / "wrong.json"
     bad.write_text(json.dumps(doc))
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 1
+
+
+def test_assertions_compare_raw_values(tmp_path, monkeypatch, capsys):
+    # a Phillips raw value 0.1 off still snaps to the lattice point 1.5 of
+    # the weights (1, 0.5); the assertions must see the raw value
+    def shifted(path):
+        res = sf_phillips(path)
+        diagnostics = dict(res.diagnostics, raw=res.raw + 0.1)
+        return SpectralFlowResult(res.value, res.method, diagnostics)
+
+    monkeypatch.setattr(sfcalc.cli, "sf_phillips", shifted)
+    doc = json.load(open(bundled("involution_norm.json")))
+    doc["aps"]["enabled"] = False
+    scen = tmp_path / "involution.json"
+    scen.write_text(json.dumps(doc))
+    assert main(["run", str(scen), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "engines crossing and phillips disagree by" in err
+    assert "phillips = 1.6" in err and "differs from expected 1.5" in err
+    log = (tmp_path / "involution_norm.log").read_text()
+    assert "crossing - phillips = -1.000e-01" in log
+
+
+def test_index_differing_from_crossing_fails_its_assertion(tmp_path, monkeypatch):
+    doc = json.load(open(bundled("involution_norm.json")))
+    doc["engines"] = ["crossing"]
+    doc["assertions"] = {"aps_matches_crossing": True}
+    monkeypatch.setattr(sfcalc.cli, "aps_index", lambda problem: 0.5)
+    record, code = run_scenario(doc, out_dir=str(tmp_path))
+    assert code == 1
+    assert record.assertion_failures == ["aps index 0.5 != crossing flow 1.5"]
 
 
 def test_tolerance_scale_loosens_assertions(tmp_path):
@@ -253,6 +284,24 @@ def test_verify_engines_suite_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS  engine-agreement seed=") == 50
     assert "50/50 checks passed" in out
+
+
+def test_runs_with_numpy_alone(tmp_path):
+    # scipy and hypothesis are test-only: a None entry in sys.modules makes
+    # every import of them fail, so the run and the suite must not need them
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+        "from sfcalc.cli import main\n"
+        f"sys.exit(main(['run', 'zsign_dirac', '--out', {str(tmp_path)!r}])"
+        " or main(['verify', 'engines']))\n")
+    src = os.path.dirname(os.path.dirname(sfcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "50/50 checks passed" in proc.stdout
 
 
 def test_list_scenarios_prints_the_bundled_names(capsys):

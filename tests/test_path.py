@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from sfcalc.engines import sf_crossing
 from sfcalc.errors import DomainError, ValidationError
-from sfcalc.generators import (random_block_model, random_hermitian,
-                               random_path, random_unitary_path,
-                               rng_from_seed, scalar_linear_path)
+from sfcalc.generators import (involution_path, random_block_model,
+                               random_hermitian, random_path,
+                               random_unitary_path, rng_from_seed,
+                               scalar_linear_path, single_crossing_path)
+from sfcalc.geometry import standard_metric_paths, trivialized_path
 from sfcalc.path import (OperatorPath, concatenate, conjugate, direct_sum,
-                         flatten_endpoints, reverse)
+                         flatten_endpoints, reparametrize, reverse)
 from sfcalc.tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
                                IndicatorSymbol, WeightedBlockModel, eigh)
 
@@ -269,3 +271,36 @@ def test_eval_and_derivative_exactly_hermitian_block_diagonal(seed, interpolatio
         for op in (path.eval(u), path.derivative(u)):
             assert np.array_equal(op.mat, op.mat.conj().T), (u, interpolation)
             assert not op.mat[off_block].any(), (u, interpolation)
+
+
+def _library_paths(seed):
+    """Every kind of path the library builds from its own samples."""
+    rng = rng_from_seed(seed)
+    model = random_block_model(rng)
+    plain = random_path(rng, model, num_samples=int(rng.integers(3, 10)))
+    flat = random_path(rng, model, endpoint_flat=True)
+    cubic = OperatorPath(model, [(float(u), random_hermitian(rng, model))
+                                 for u in (0.0, 0.4, 1.0)], interpolation="cubic")
+    minus = [int(rng.integers(0, dim + 1)) for dim, _ in model.blocks]
+    involution, _ = involution_path(model, minus, rng=rng)
+    return {
+        "random_path": plain, "random_path(endpoint_flat)": flat,
+        "involution_path": involution,
+        "single_crossing_path": single_crossing_path(num_samples=3 + seed),
+        "flatten_endpoints": flatten_endpoints(cubic, margin=0.1),
+        "concatenate": concatenate(plain, reverse(plain)),
+        "reverse": reverse(flat),
+        "direct_sum": direct_sum(plain, cubic),
+        "reparametrize": reparametrize(cubic, lambda t: t * t),
+        "trivialized_path": trivialized_path(
+            list(standard_metric_paths(n=4).values())[seed % 3]),
+    }
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_library_built_stacks_need_no_checks(seed):
+    # library-built paths skip BlockHermitian's checks; the checked
+    # constructor must leave every sample of theirs bit for bit as it is
+    for name, path in _library_paths(seed).items():
+        checked = np.stack([BlockHermitian(path.model, mat).mat for mat in path._stack])
+        assert checked.tobytes() == path._stack.tobytes(), name
