@@ -383,24 +383,19 @@ def _calls(doc, path):
             kernel_threshold=float(aps["theta"]))))
 
 
-def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
+def run_scenario(doc, out_dir=".", threads=1):
     """Execute one scenario document.  Returns (record, exit_code).
 
-    Engines run one after the other; ``threads`` is accepted for callers
-    written against the former thread pool and has no effect.
+    The values depend on the document alone.  Engines run one after the
+    other; ``threads`` is accepted for callers written against the former
+    thread pool and has no effect.
     """
     doc = _with_defaults(doc)
-    seed = doc["seed"]
-    env_seed = os.environ.get("SFCALC_SEED")
-    if env_seed is not None:
-        _require(env_seed.isdecimal(),
-                 f"SFCALC_SEED must be a nonnegative integer, got {env_seed!r}")
-        seed = int(env_seed)
-    record = RunRecord(scenario=doc["name"], seed=seed)
+    record = RunRecord(scenario=doc["name"], seed=doc["seed"])
     started = time.perf_counter()
 
     model = _build_model(doc["model"])
-    path = _build_path(doc["path"], model, seed)
+    path = _build_path(doc["path"], model, doc["seed"])
 
     rows = []
     for stage, engine, s, name, call in _calls(doc, path):
@@ -428,25 +423,25 @@ def run_scenario(doc, out_dir=".", threads=1, tolerance_scale=1.0):
         (a, b, values[a] - values[b]) for i, a in enumerate(names)
         for b in names[i + 1:]]
 
-    _check_assertions(doc, record, values, tolerance_scale)
+    _check_assertions(doc, record, values)
     record.wall_clock = time.perf_counter() - started
     _write_outputs(doc, record, rows, out_dir)
     return record, (0 if not record.assertion_failures else 1)
 
 
-def _check_assertions(doc, record, values, tolerance_scale):
+def _check_assertions(doc, record, values):
     asserts = doc["assertions"]
     failures = record.assertion_failures
     agree_tol = asserts["pairwise_agreement"]
     if agree_tol is not None:
-        tol = float(agree_tol) * tolerance_scale
+        tol = float(agree_tol)
         engine_vals = {k: v for k, v in values.items() if k != "aps_index"}
         for a, b, diff in record.agreement:
             if a in engine_vals and b in engine_vals and abs(diff) > tol:
                 failures.append(f"engines {a} and {b} disagree by {diff:.3e} > {tol:.1e}")
     expected = asserts["expected_value"]
     if expected is not None:
-        tol = float(asserts["value_tolerance"]) * tolerance_scale
+        tol = float(asserts["value_tolerance"])
         for name, val in values.items():
             if abs(val - float(expected)) > tol:
                 failures.append(
@@ -508,19 +503,10 @@ def list_scenarios():
     return names
 
 
-def _positive_scale(text):
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
-    return value
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sfcalc",
         description="Spectral flow engines and suspension-index computations")
-    parser.add_argument("--tolerance-scale", type=_positive_scale, default=1.0,
-                        help="scale factor applied to scenario assertion tolerances")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario file")
@@ -564,8 +550,7 @@ def main(argv=None):
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     try:
-        record, code = run_scenario(doc, out_dir=args.out,
-                                    tolerance_scale=args.tolerance_scale)
+        record, code = run_scenario(doc, out_dir=args.out)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -340,12 +340,10 @@ def dirac_family_scenario(u_range=(-1.0, 1.0)):
     flow = sf_phillips(path)
 
     lo, hi = sorted((-u1, -u0))
-    swept = freq_trace(model, IndicatorSymbol(lo, hi), support_hint=(lo, hi)) \
-        if hi > lo else 0.0
+    swept = freq_trace(model, IndicatorSymbol(lo, hi))
 
     tol = 1e-9
-    kernel_traces = [freq_trace(model, IndicatorSymbol(-x - tol, -x + tol),
-                                support_hint=(-x - tol, -x + tol))
+    kernel_traces = [freq_trace(model, IndicatorSymbol(-x - tol, -x + tol))
                      for x in path._stack[:, 0].tolist()]
     return {
         "sf_phillips": flow,

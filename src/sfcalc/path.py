@@ -210,7 +210,7 @@ class OperatorPath:
     def max_sample_norm(self):
         if self.is_frequency:
             raise ValidationError("sample norms are not defined for symbol paths")
-        return max(float(np.linalg.norm(m, 2)) for m in self._stack)
+        return float(np.linalg.norm(self._stack, 2, axis=(1, 2)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ class WeightedBlockModel:
             if not (w > 0.0 and math.isfinite(w)):
                 raise ValidationError(f"block weight {w} must be positive finite")
         object.__setattr__(self, "blocks", blocks)
+        # the common rational step q of the weights, or None: every weight
+        # must be within roundoff of a fraction of denominator <= 10**4
+        fracs = [Fraction(w).limit_denominator(10 ** 4) for _, w in blocks]
+        q = None
+        if all(abs(float(f) - w) <= 1e-12 * max(1.0, w)
+               for f, (_, w) in zip(fracs, blocks)):
+            q = fracs[0]
+            for f in fracs[1:]:
+                q = Fraction(math.gcd(q.numerator * f.denominator,
+                                      f.numerator * q.denominator),
+                             q.denominator * f.denominator)
+        object.__setattr__(self, "_step", q)
 
     @property
     def dim(self):
@@ -133,18 +145,7 @@ class WeightedBlockModel:
         denominator.  Spectral flow values on this model live on the
         q-lattice.
         """
-        fracs = []
-        for _, w in self.blocks:
-            f = Fraction(w).limit_denominator(10 ** 4)
-            if abs(float(f) - w) > 1e-12 * max(1.0, w):
-                return None
-            fracs.append(f)
-        q = fracs[0]
-        for f in fracs[1:]:
-            q = Fraction(math.gcd(q.numerator * f.denominator,
-                                  f.numerator * q.denominator),
-                         q.denominator * f.denominator)
-        return float(q)
+        return None if self._step is None else float(self._step)
 
     def weighted_sum(self, counts):
         """The correctly rounded sum of w_b * n_b over integer per-block
@@ -152,7 +153,8 @@ class WeightedBlockModel:
         return math.fsum(w * int(n) for (_, w), n in zip(self.blocks, counts))
 
     def snap(self, raw):
-        """Round ``raw`` to the weight lattice of :meth:`lattice_step`.
+        """Round ``raw`` to the weight lattice of :meth:`lattice_step`: the
+        double nearest k * q for the exact step q and k = round(raw / step).
 
         Spectral flows and indices on this model are integer combinations of
         the weights, so they must land within a quarter step of the lattice;
@@ -164,7 +166,7 @@ class WeightedBlockModel:
         step = self.lattice_step()
         if step is None:
             return float(raw)
-        snapped = step * round(raw / step)
+        snapped = float(round(raw / step) * self._step)
         if abs(raw - snapped) > 0.25 * step:
             raise NumericError(
                 f"value {raw!r} is {abs(raw - snapped):.3e} away "
@@ -460,46 +462,23 @@ class FrequencyModel:
             raise ValidationError("density must be nonnegative")
         return np.clip(vals, 0.0, None)
 
-    def integrate(self, fn, breakpoints, lo=None, hi=None, abs_tol=1e-10):
-        """Integral of fn(xi) * rho(xi) over [lo, hi], by default the window
-        [-xi_max, xi_max], with panels split at ``breakpoints``.  The one
-        density integral of the model; returns (value, error estimate)."""
+    def integrate(self, fn, breakpoints, abs_tol=1e-10):
+        """Integral of fn(xi) * rho(xi) over the window [-xi_max, xi_max],
+        with panels split at ``breakpoints``.  The one density integral of
+        the model; returns (value, error estimate)."""
         value, err, _ = adaptive_gauss_legendre(
-            lambda xi: fn(xi) * self.rho_values(xi),
-            -self.xi_max if lo is None else lo, self.xi_max if hi is None else hi,
+            lambda xi: fn(xi) * self.rho_values(xi), -self.xi_max, self.xi_max,
             abs_tol=abs_tol, breakpoints=breakpoints)
         return value, err
 
 
-def _hint_edges(model, support_hint):
-    if support_hint is None:
-        return [-model.xi_max, model.xi_max]
-    edges = sorted(float(x) for x in np.atleast_1d(np.asarray(support_hint, dtype=float)))
-    if len(edges) == 1:
-        edges = [edges[0], edges[0]]
-    lo = max(edges[0], -model.xi_max)
-    hi = min(edges[-1], model.xi_max)
-    if hi <= lo:
-        return [lo, lo]
-    interior = [x for x in edges[1:-1] if lo < x < hi]
-    return [lo] + interior + [hi]
+def freq_trace(model, symbol):
+    """Trace of a symbol:  integral of symbol(xi) * rho(xi) over the window.
 
-
-def freq_trace(model, symbol, support_hint=None):
-    """Trace of a symbol:  integral of symbol(xi) * rho(xi) over the hint.
-
-    ``support_hint`` is an interval (2 numbers) or a sorted breakpoint list;
-    its interior points declare discontinuity loci so quadrature panels can
-    split there.  Symbol-declared breakpoints are merged in automatically.
+    A :class:`FreqSymbol` declares where it is non-smooth, and the panels
+    split at its breakpoints; a plain callable is integrated without cuts.
     """
     if not isinstance(model, FrequencyModel):
         raise ModelError("freq_trace expects a FrequencyModel")
-    edges = _hint_edges(model, support_hint)
-    lo, hi = edges[0], edges[-1]
-    if hi <= lo:
-        return 0.0
-    cuts = set(edges[1:-1])
-    if isinstance(symbol, FreqSymbol):
-        cuts.update(symbol.breakpoints())
-    return model.integrate(lambda xi: np.asarray(symbol(xi), dtype=float),
-                           cuts, lo, hi)[0]
+    cuts = symbol.breakpoints() if isinstance(symbol, FreqSymbol) else ()
+    return model.integrate(lambda xi: np.asarray(symbol(xi), dtype=float), cuts)[0]

@@ -304,3 +304,14 @@ def test_library_built_stacks_need_no_checks(seed):
     for name, path in _library_paths(seed).items():
         checked = np.stack([BlockHermitian(path.model, mat).mat for mat in path._stack])
         assert checked.tobytes() == path._stack.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("flat", [False, True], ids=["plain", "flat"])
+def test_max_sample_norm_is_the_largest_sample_norm(seed, flat):
+    # one batched 2-norm over the sample stack gives the bits of the norm
+    # taken one sample at a time
+    rng = rng_from_seed(seed)
+    path = random_path(rng, random_block_model(rng), endpoint_flat=flat)
+    loop = max(float(np.linalg.norm(mat, 2)) for mat in path._stack)
+    assert path.max_sample_norm().hex() == loop.hex()

@@ -102,6 +102,14 @@ def test_lattice_step():
     assert WeightedBlockModel([(1, math.pi)]).lattice_step() is None
 
 
+def test_snap_returns_the_double_nearest_the_lattice_point():
+    # step 0.1 is not a double: three steps are 3/10 exactly, not 3 * 0.1
+    model = WeightedBlockModel([(1, 0.3), (1, 0.1)])
+    assert model.lattice_step() == 0.1
+    assert model.snap(0.30000000000000004) == 0.3
+    assert model.snap(0.3) == 0.3
+
+
 def test_snap_refuses_a_value_off_the_lattice():
     model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
     assert model.snap(1.4) == 1.5
@@ -236,7 +244,7 @@ def test_apply_function_nonfinite_rejected():
 def test_freq_trace_unit_indicator():
     model = FrequencyModel(rho=RHO)
     oracle, _ = quad(lambda xi: RHO, -1.0, 1.0)
-    value = freq_trace(model, IndicatorSymbol(-1.0, 1.0), support_hint=(-1.0, 1.0))
+    value = freq_trace(model, IndicatorSymbol(-1.0, 1.0))
     assert value == pytest.approx(oracle, abs=1e-10)
     assert value == pytest.approx(1.0 / math.pi, abs=1e-10)
 
@@ -248,14 +256,14 @@ def test_freq_trace_zero_symbol():
 
 def test_freq_trace_translation_invariance():
     model = FrequencyModel(rho=RHO)
-    value = freq_trace(model, IndicatorSymbol(0.0, 2.0), support_hint=(0.0, 2.0))
+    value = freq_trace(model, IndicatorSymbol(0.0, 2.0))
     assert value == pytest.approx(1.0 / math.pi, abs=1e-10)
 
 
 def test_freq_trace_monotone():
     model = FrequencyModel(rho=lambda xi: RHO * np.exp(-0.01 * xi ** 2))
-    small = freq_trace(model, IndicatorSymbol(-1.0, 1.0), support_hint=(-1.0, 1.0))
-    large = freq_trace(model, IndicatorSymbol(-2.0, 2.0), support_hint=(-2.0, 2.0))
+    small = freq_trace(model, IndicatorSymbol(-1.0, 1.0))
+    large = freq_trace(model, IndicatorSymbol(-2.0, 2.0))
     assert small <= large
 
 
@@ -264,7 +272,7 @@ def test_freq_trace_monotone():
 def test_freq_trace_indicator_matches_density_integral(center, half_width):
     model = FrequencyModel(rho=RHO)
     lo, hi = center - half_width, center + half_width
-    value = freq_trace(model, IndicatorSymbol(lo, hi), support_hint=(lo, hi))
+    value = freq_trace(model, IndicatorSymbol(lo, hi))
     assert value == pytest.approx((hi - lo) * RHO, abs=1e-9)
 
 
