@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericError, PreconditionError, ValidationError
 from .path import OperatorPath
 from .tracemodel import (BlockHermitian, Interval, WeightedBlockModel, eigh,
-                         eigh_stack, endpoint_gap, nonneg_masks,
+                         endpoint_gap, endpoint_parts, nonneg_masks,
                          spectral_projection)
 
 __all__ = ["SuspensionProblem", "assemble", "aps_index",
@@ -58,15 +58,10 @@ class SuspensionProblem:
         if self.geometry == "interval-APS" and not self.path.endpoint_flat:
             raise ValidationError("interval-APS requires an endpoint-flat path")
         if self.geometry == "cylinder":
-            gap = endpoint_gap(lam for lam, _ in _endpoint_parts(self.path))
+            gap = endpoint_gap(lam for lam, _ in endpoint_parts(self.path))
             if gap <= 1e-8:
                 raise ValidationError(
                     f"cylinder geometry needs invertible endpoints (gap {gap:.3e})")
-
-
-def _endpoint_parts(path):
-    """The :func:`eigh_stack` decomposition of the two endpoint operators."""
-    return eigh_stack(path.model, path.eval(np.array([0.0, 1.0])))
 
 
 def physical_memory():
@@ -149,7 +144,7 @@ def _block_matrices(prob):
     """
     path = prob.path
     model = path.model
-    parts = _endpoint_parts(path)
+    parts = endpoint_parts(path)
     nodes = _grid(prob, parts)
     h = nodes[1] - nodes[0]
     if prob.scheme == "forward-upwind":

@@ -111,7 +111,6 @@ FIELDS = {
              "interpolation": ("linear", _one_of(("linear", "cubic"))), "params": {}},
     "engine_params": {"s_grid": ([0.5, 2.0, 8.0], _list_of(_POSITIVE)),
                       "chi": (["sine"], _list_of(_one_of(CHI_PROFILES))),
-                      "window": (0.5, _POSITIVE),
                       "min_endpoint_gap": (1e-8, _NONNEGATIVE)},
     "aps": {"enabled": (False, _BOOLEAN), "M": (200, _integer(16)),
             "scheme": ("forward-upwind", _one_of(SCHEMES)),
@@ -121,7 +120,13 @@ FIELDS = {
                    "expected_value": (None, _optional(_NUMBER)),
                    "value_tolerance": (1e-9, _NONNEGATIVE),
                    "aps_matches_crossing": (False, _BOOLEAN)},
+    "output": {},
 }
+# The fields validate_scenario checks by hand, per section.  With FIELDS and
+# GENERATOR_PARAMS they are the scenario fields; any other key is refused.
+BY_HAND = {"": ("schema", "name", "model", "path"), "model.": ("type", "blocks"),
+           "path.": ("type", "name", "samples"), "path.params.": ("minus_dims",),
+           "output.": ("csv", "log")}
 # The path.params fields of each generator, in the shape of FIELDS.
 GENERATOR_PARAMS = {
     "single_crossing": {"num_samples": (9, _integer(2))},
@@ -151,7 +156,7 @@ def _with_defaults(doc):
     """The scenario with every absent optional field at its default."""
     full = _defaults(FIELDS, doc)
     full["output"] = {"csv": f"{doc['name']}.csv", "log": f"{doc['name']}.log",
-                      **doc.get("output", {})}
+                      **full["output"]}
     path = full["path"]
     if path["type"] == "generator":
         path["params"] = _defaults(GENERATOR_PARAMS[path["name"]], path["params"])
@@ -159,7 +164,11 @@ def _with_defaults(doc):
 
 
 def _check_fields(fields, values, prefix=""):
-    """Refuse the first value that fails its rule in ``fields``."""
+    """Refuse the first key of ``values`` that is not a scenario field, then
+    the first value that fails its rule in ``fields``."""
+    for key in values:
+        _require(key in fields or key in BY_HAND.get(prefix, ()),
+                 f"{prefix}{key} is not a scenario field")
     for key, entry in fields.items():
         if isinstance(entry, dict):
             _check_fields(entry, values[key], f"{prefix}{key}.")
@@ -232,15 +241,15 @@ def validate_scenario(doc):
     for name in ("model", "path"):
         _require(isinstance(doc.get(name), dict) and "type" in doc[name],
                  f"field {name!r} must be an object with a 'type'")
-    _require(isinstance(doc.get("output", {}), dict), "output must be an object")
     path = doc["path"]
     _require(path["type"] != "generator" or isinstance(path.get("name"), str)
              and path["name"] in GENERATOR_PARAMS,
              f"path.name {path.get('name')!r}: unknown generator")
     doc = _with_defaults(doc)
-    _check_fields(FIELDS, doc)
     path = doc["path"]
     kind = path["type"]
+    _check_fields(FIELDS if kind != "generator" else dict(
+        FIELDS, path=dict(FIELDS["path"], params=GENERATOR_PARAMS[path["name"]])), doc)
 
     model = doc["model"]
     _require(model["type"] in ("weighted_blocks", "frequency", "circle_metric"),
@@ -281,7 +290,6 @@ def validate_scenario(doc):
     if kind == "generator":
         name = path["name"]
         params = path["params"]
-        _check_fields(GENERATOR_PARAMS[name], params, "path.params.")
         _require(model["type"] == "weighted_blocks",
                  f"{name} paths need a weighted block model")
         _require(name != "single_crossing" or model["blocks"] == [[1, 1.0]],
@@ -360,10 +368,10 @@ def _calls(doc, path):
     looks up its engine on this module when it runs, so a tracer that patches
     the engines here sees every call."""
     params = doc["engine_params"]
-    window, gap = float(params["window"]), float(params["min_endpoint_gap"])
+    gap = float(params["min_endpoint_gap"])
     for name in doc["engines"]:
         if name == "crossing":
-            yield "sf_crossing", "crossing", "", "crossing", lambda: sf_crossing(path, window)
+            yield "sf_crossing", "crossing", "", "crossing", lambda: sf_crossing(path)
         elif name == "phillips":
             yield "sf_phillips", "phillips", "", "phillips", lambda: sf_phillips(path)
         elif name == "integral":
@@ -391,6 +399,7 @@ def run_scenario(doc, out_dir=".", threads=1):
     thread pool and has no effect.
     """
     doc = _with_defaults(doc)
+    os.makedirs(out_dir, exist_ok=True)
     record = RunRecord(scenario=doc["name"], seed=doc["seed"])
     started = time.perf_counter()
 
@@ -459,7 +468,6 @@ def _format_value(x):
 
 
 def _write_outputs(doc, record, rows, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     csv_name, log_name = doc["output"]["csv"], doc["output"]["log"]
     seed_text = "" if record.seed is None else str(record.seed)
     lines = [",".join(CSV_COLUMNS)]
@@ -551,8 +559,9 @@ def main(argv=None):
         return 2
     try:
         record, code = run_scenario(doc, out_dir=args.out)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot write the outputs of {doc['name']} to {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error in {doc['name']}: {exc}", file=sys.stderr)

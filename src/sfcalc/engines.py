@@ -25,7 +25,7 @@ from .path import smoothstep
 from .quadrature import adaptive_gauss_legendre
 from .tracemodel import (FrequencyModel, FreqSymbol, SpectralDecomposition,
                          WeightedBlockModel, eigh, eigh_stack, endpoint_gap,
-                         nonneg_masks)
+                         endpoint_parts, nonneg_masks)
 
 __all__ = ["ChiProfile", "sine_profile", "quintic_profile", "CHI_PROFILES",
            "SpectralFlowResult", "sf_crossing", "sf_phillips",
@@ -161,31 +161,6 @@ def _finalize(raw, method, model, diagnostics):
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _refine_block_partition(path, window):
-    """Bisect sample intervals until each step's operator motion < window,
-    at most 20 times.
-
-    The operator-norm step bounds the eigenvalue motion (Weyl), so no
-    eigenvalue can jump past the window unseen.  Some half of a step moves
-    at least half as far (triangle inequality), so a motion of at least
-    window * 2**(21 - depth) cannot meet the cap and stops the refinement.
-    """
-    us = np.array(path.us, dtype=float)
-    depth = 0
-    while True:
-        mats = path.eval(us)
-        motions = np.linalg.norm(mats[1:] - mats[:-1], 2, axis=(1, 2))
-        bad = np.flatnonzero(motions >= window)
-        if not bad.size:
-            return us, mats, motions, depth
-        if depth == 20 or motions.max() >= window * 2.0 ** (21 - depth):
-            raise NumericError(
-                "partition refinement exceeded 20 bisections "
-                f"(max step motion {motions.max():.3e} vs window {window})")
-        depth += 1
-        us = np.insert(us, bad + 1, 0.5 * (us[bad] + us[bad + 1]))
-
-
 # (path, entry) of the most recent block path: its endpoint decompositions
 # under "ends" and, per node array keyed by its bytes, each block's
 # (w_b, eigenvalues, Re diag(V* F' V)).  One path only: callers run the
@@ -229,29 +204,27 @@ def _spectral_trace(path, us, f, scale=1.0):
 # ---------------------------------------------------------------------------
 # crossing engine
 
-def sf_crossing(path, window=0.5):
+def sf_crossing(path):
     """Net weighted flow of eigenvalues through 0.
 
-    The partition is refined until every step moves the operator by less
-    than ``window``; per-step, per-block nonnegative-count differences are
-    then summed (they telescope to the endpoint difference for finite
-    models) and weighted once, as the index is.  Eigenvalue 0 counts as
+    Every block of a weighted block model has finite trace, so the per-step
+    changes of each block's nonnegative count telescope over any partition
+    of the path: the flow is each block's change of nonnegative count
+    between F_0 and F_1, weighted once, as the index is.  Each endpoint
+    counts with its own kernel tolerance, and eigenvalue 0 counts as
     nonnegative.
     """
     if path.is_frequency:
         raise ModelError("sf_crossing is defined on weighted block models")
-    if not window > 0:
-        raise DomainError("window must be positive")
-    us, mats, motions, depth = _refine_block_partition(path, window)
-    parts = eigh_stack(path.model, mats)
-    steps = np.diff([np.count_nonzero(mask, axis=1) for mask in nonneg_masks(parts)])
-    raw = path.model.weighted_sum(np.sum(steps, axis=1))
+    parts = endpoint_parts(path)
+    raw = path.model.weighted_sum(
+        np.count_nonzero(mask[1]) - np.count_nonzero(mask[0])
+        for mask in nonneg_masks(parts))
     diagnostics = {
-        "refinement_depth": float(depth),
-        "num_steps": float(len(us) - 1),
-        "max_step_motion": float(motions.max()),
-        "min_endpoint_gap": endpoint_gap(lam[[0, -1]] for lam, _ in parts),
-        "window": float(window),
+        # no partition is refined; the benchmark's tracer
+        # (perfbench/tracing.py) sums this key over every traced run
+        "refinement_depth": 0.0,
+        "min_endpoint_gap": endpoint_gap(lam for lam, _ in parts),
     }
     return _finalize(raw, "crossing", path.model, diagnostics)
 

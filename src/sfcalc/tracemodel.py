@@ -23,8 +23,8 @@ from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "WeightedBlockModel", "BlockHermitian", "SpectralDecomposition",
-    "Interval", "trace", "eigh", "eigh_stack", "spectral_projection",
-    "apply_function",
+    "Interval", "trace", "eigh", "eigh_stack", "endpoint_parts",
+    "spectral_projection", "apply_function",
     "FrequencyModel", "FreqSymbol", "AffineSymbol", "IndicatorSymbol",
     "freq_trace", "zero_tolerance",
     "ClusterBoundaryWarning",
@@ -308,6 +308,12 @@ def eigh_stack(model, mats):
             f"eigendecomposition reconstruction residual {residual[i] / scale[i]:.3e} "
             f"(matrix {i} of {len(mats)})")
     return parts
+
+
+def endpoint_parts(path):
+    """The :func:`eigh_stack` decomposition of a block path's two endpoint
+    operators F_0 and F_1."""
+    return eigh_stack(path.model, path.eval(np.array([0.0, 1.0])))
 
 
 def nonneg_masks(parts):

@@ -21,7 +21,8 @@ from sfcalc.generators import (involution_path, random_block_model,
                                random_path, random_unitary_path, rng_from_seed,
                                scalar_linear_path, single_crossing_path)
 from sfcalc.path import OperatorPath, concatenate, conjugate, flatten_endpoints
-from sfcalc.tracemodel import BlockHermitian, WeightedBlockModel, eigh
+from sfcalc.tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
+                               WeightedBlockModel, eigh)
 
 
 def constant_path(value, model=None):
@@ -480,3 +481,50 @@ def test_perturbation_rank_two_norm_three_sweep():
     for entry in report["sweep"]:
         if entry["passes"]:
             assert entry["index_matches_flow"]
+
+
+def _frequency_path():
+    return OperatorPath(FrequencyModel(), [(0.0, AffineSymbol(-1.0)),
+                                           (1.0, AffineSymbol(1.0))])
+
+
+_SCALAR = WeightedBlockModel([(1, 1.0)])
+_TWO = WeightedBlockModel([(2, 1.0)])
+APSINDEX_GUARDS = {
+    "block-model": (lambda: SuspensionProblem(path=_frequency_path()),
+                    ValidationError, "weighted block model"),
+    "grid-size": (lambda: SuspensionProblem(path=single_crossing_path(), grid_size=15),
+                  ValidationError, "grid_size must be at least 16"),
+    "scheme": (lambda: SuspensionProblem(path=single_crossing_path(), scheme="leapfrog"),
+               ValidationError, "unknown scheme 'leapfrog'"),
+    "geometry": (lambda: SuspensionProblem(path=single_crossing_path(), geometry="torus"),
+                 ValidationError, "unknown geometry 'torus'"),
+    "kernel-threshold": (lambda: SuspensionProblem(path=single_crossing_path(),
+                                                   kernel_threshold=0.0),
+                         ValidationError, "kernel_threshold must be positive"),
+    "halfline-operator": (lambda: halfline_aps_apply_inverse(np.eye(1), np.zeros(9), 1.0, 8),
+                          ValidationError, "expects a BlockHermitian"),
+    "halfline-rhs-shape": (lambda: halfline_aps_apply_inverse(
+        diagonal_operator(_SCALAR, [1.0]), np.zeros(8), 1.0, 8),
+        ValidationError, r"rhs shape \(8, 1\) does not match grid \(9, 1\)"),
+    "truncation-operator": (lambda: perturbation_truncation_check(
+        np.eye(2), linear_k_path(_TWO, np.eye(2)), 1.0),
+        ValidationError, "expects a BlockHermitian"),
+    "truncation-base-invertible": (lambda: perturbation_truncation_check(
+        diagonal_operator(_TWO, [1.0, 0.0]), linear_k_path(_TWO, np.eye(2)), 1.0),
+        PreconditionError, "base operator must be invertible"),
+    "truncation-starts-at-0": (lambda: perturbation_truncation_check(
+        diagonal_operator(_TWO, [1.0, -2.0]), constant_path(0.5, _TWO), 1.0),
+        ValidationError, "perturbation path must start at 0"),
+    "truncation-end-invertible": (lambda: perturbation_truncation_check(
+        diagonal_operator(_TWO, [1.0, -2.0]),
+        linear_k_path(_TWO, np.diag([0.0, 2.0]).astype(complex)), 1.0),
+        PreconditionError, r"D \+ K_1 must be invertible"),
+}
+
+
+@pytest.mark.parametrize("case", APSINDEX_GUARDS)
+def test_public_guards_raise_their_documented_errors(case):
+    call, error, message = APSINDEX_GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()

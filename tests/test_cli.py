@@ -206,18 +206,6 @@ def test_numeric_error_exit_code(tmp_path):
     assert main(["run", str(scen), "--out", str(tmp_path)]) == 3
 
 
-def test_unreachable_crossing_window_exits_3_at_once(tmp_path, capsys):
-    # a window no 20 bisections can reach fails before any refinement
-    doc = json.load(open(bundled("random_agreement.json")))
-    doc["engine_params"]["window"] = 1e-300
-    scen = tmp_path / "tiny_window.json"
-    scen.write_text(json.dumps(doc))
-    start = time.perf_counter()
-    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert "sf_crossing: partition refinement" in capsys.readouterr().err
-
-
 def test_tolerance_below_rounding_exits_3_at_once(tmp_path, capsys):
     # a weight of 1e300 puts the integral's rounding error far above
     # quad_tol: the quadrature refuses after its first level, not after
@@ -479,6 +467,36 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, v
     assert proc.stderr.startswith("scenario error:")
     # nothing is written outside --out
     assert [p.name for p in tmp_path.iterdir() if p != out] == ["malformed.json"]
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("involution_norm", "assertions.expected_valu", 99.0),
+    ("involution_norm", "assertions.pairwise_agreemnt", 1e-6),
+    ("single_crossing", "engine_params.window", 0.5),
+    ("random_agreement", "path.params.num_sample", 7),
+    ("zsign_dirac", "sed", 1),
+], ids=["assertion-misspelled", "agreement-misspelled", "crossing-window",
+        "generator-param-misspelled", "top-level-misspelled"])
+def test_unknown_field_exits_2_and_names_it(tmp_path, capsys, scenario, key, value):
+    # an unknown field is never read: a misspelled assertion would pass unchecked
+    doc = json.load(open(bundled(f"{scenario}.json")))
+    _set_path(doc, key, value)
+    scen = tmp_path / "unknown.json"
+    scen.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {key} is not a scenario field\n"
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2_before_any_engine_runs(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    start = time.perf_counter()
+    assert main(["run", "single_crossing", "--out", str(taken)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(
+        f"cannot write the outputs of single_crossing to {taken}: ")
 
 
 @pytest.mark.parametrize("key, value", [

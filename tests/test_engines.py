@@ -54,25 +54,6 @@ def test_crossing_zero_counts_nonnegative():
     assert sf_crossing(scalar_linear_path(0.0, -1.0)).value == -1.0
 
 
-def test_crossing_window_validation():
-    with pytest.raises(DomainError):
-        sf_crossing(single_crossing_path(), window=0.0)
-
-
-def test_crossing_fails_fast_when_the_window_is_out_of_reach(monkeypatch):
-    # a step that moves by m keeps a half that moves by m/2, so 20
-    # bisections cannot bring a unit motion under 1e-300: no refinement
-    original = OperatorPath.eval
-
-    def eval_unrefined(self, u):
-        assert np.size(u) == 9, "the partition was refined"
-        return original(self, u)
-
-    monkeypatch.setattr(OperatorPath, "eval", eval_unrefined)
-    with pytest.raises(NumericError, match="exceeded 20 bisections"):
-        sf_crossing(single_crossing_path(), window=1e-300)
-
-
 def _near_kernel_paths():
     """Two block paths with eigenvalues within the kernel tolerance of 0."""
     model = WeightedBlockModel([(2, 0.5), (1, 1.0)])
@@ -89,51 +70,20 @@ def _near_kernel_paths():
 
 def test_crossing_matches_per_node_decompositions():
     # the stacked route counts each block's nonnegative eigenvalues with the
-    # node's own kernel tolerance, as SpectralDecomposition.nonneg_mask does
-    from sfcalc.engines import _refine_block_partition
-
+    # endpoint's own kernel tolerance, as SpectralDecomposition.nonneg_mask does
     rng = rng_from_seed(8500)
     paths = [random_path(rng, random_block_model(rng), num_samples=7)
              for _ in range(6)]
     paths += _near_kernel_paths()
     for path in paths:
         res = sf_crossing(path)
-        us, mats, _, _ = _refine_block_partition(path, 0.5)
-        decs = [eigh(BlockHermitian(path.model, m)) for m in mats]
+        decs = [eigh(path.eval(0.0)), eigh(path.eval(1.0))]
         counts = [np.bincount(d.block_index[d.nonneg_mask()],
                               minlength=len(path.model.blocks)) for d in decs]
         assert res.raw == path.model.weighted_sum(counts[-1] - counts[0])
-        assert res.diagnostics["num_steps"] == len(us) - 1
         assert res.diagnostics["min_endpoint_gap"] == min(
             np.abs(decs[0].eigenvalues).min(), np.abs(decs[-1].eigenvalues).min())
     assert res.raw == 1.0
-
-
-def _refine_by_list_insert(path, window):
-    """Reference refinement: the partition bisected level by level, each
-    midpoint put in by its own list.insert."""
-    us = list(path.us)
-    while True:
-        mats = path.eval(np.array(us))
-        motions = np.linalg.norm(mats[1:] - mats[:-1], 2, axis=(1, 2))
-        bad = np.flatnonzero(motions >= window)
-        if not bad.size:
-            return np.array(us)
-        for j in reversed(bad):
-            us.insert(j + 1, 0.5 * (us[j] + us[j + 1]))
-
-
-def test_refinement_inserts_midpoints_as_the_per_midpoint_loop():
-    from sfcalc.engines import _refine_block_partition
-
-    rng = rng_from_seed(8600)
-    for path, window in [(random_path(rng, random_block_model(rng), num_samples=7), 1e-2),
-                         (single_crossing_path(), 1e-4)]:
-        us, mats, _, depth = _refine_block_partition(path, window)
-        expected = _refine_by_list_insert(path, window)
-        assert depth > 0
-        assert us.tobytes() == expected.tobytes()
-        assert mats.tobytes() == path.eval(expected).tobytes()
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -142,7 +92,7 @@ def test_crossing_scalar_endpoint_rule(a, b):
     def nonneg(x):
         return float(x >= -1e-9 * (1.0 + abs(x)))
 
-    flow = sf_crossing(scalar_linear_path(a, b), window=max(abs(b - a), 0.5))
+    flow = sf_crossing(scalar_linear_path(a, b))
     assert flow.value == nonneg(b) - nonneg(a)
 
 
@@ -617,3 +567,39 @@ def test_lattice_snapping_on_weighted_models():
     assert res.value == 1.5
     assert res.diagnostics["lattice_step"] == 0.5
     assert abs(res.raw - 1.5) < 1e-8
+
+
+def _profile(chi, dchi):
+    return ChiProfile(name="probe", chi=chi, dchi=dchi, radius=3.0)
+
+
+_SINE = CHI_PROFILES["sine"]()
+ENGINE_GUARDS = {
+    "profile-chi-1": (lambda: _profile(lambda x: 0.5 * _SINE.chi(x), _SINE.dchi),
+                      ValidationError, r"must satisfy chi\(1\) = 1"),
+    "profile-slope-0": (lambda: _profile(_SINE.chi, np.zeros_like), ValidationError,
+                        r"needs chi'\(0\) > 0"),
+    "profile-monotone": (lambda: _profile(lambda x: np.sin(2.5 * np.pi * x),
+                                          lambda x: 2.5 * np.pi * np.cos(2.5 * np.pi * x)),
+                         ValidationError, r"must be nondecreasing on \[-1, 1\]"),
+    "profile-support": (lambda: _profile(lambda x: np.clip(x, -1.0, 1.0),
+                                         lambda x: (np.abs(x) < 1.0).astype(float)),
+                        ValidationError, r"is not supported in \[-3.0, 3.0\]"),
+    "profile-derivative": (lambda: _profile(_SINE.chi, lambda x: 2.0 * _SINE.dchi(x)),
+                           ValidationError, "disagrees with finite differences"),
+    "eta-symbol-model": (lambda: eta_truncated(AffineSymbol(0.5), 1.0), ModelError,
+                         "symbol eta needs the frequency model"),
+    "integral-s": (lambda: sf_integral(single_crossing_path(), 0.0), DomainError,
+                   "sf_integral requires s > 0"),
+    "appendix-profile": (lambda: sf_appendix(single_crossing_path(), "sine"),
+                         ValidationError, "sf_appendix needs a ChiProfile"),
+    "crossing-frequency": (lambda: sf_crossing(dirac_path()), ModelError,
+                           "sf_crossing is defined on weighted block models"),
+}
+
+
+@pytest.mark.parametrize("case", ENGINE_GUARDS)
+def test_public_guards_raise_their_documented_errors(case):
+    call, error, message = ENGINE_GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -65,3 +65,9 @@ def test_benchmark_attributes_exist():
                               ("sfcalc.engines", "CHI_PROFILES"),
                               ("sfcalc.cli", "_scenario_dir")]:
         assert hasattr(importlib.import_module(module), attribute), f"{module}.{attribute}"
+
+
+def test_crossing_reports_the_refinement_depth():
+    # perfbench/tracing.py sums this diagnostic over every traced run
+    path = generators.single_crossing_path()
+    assert "refinement_depth" in engines.sf_crossing(path).diagnostics

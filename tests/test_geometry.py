@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sfcalc import verify
-from sfcalc.errors import ValidationError
+from sfcalc.errors import DomainError, ValidationError
 from sfcalc.geometry import (METRIC_PROFILES, CircleMetricPath, build_signature,
                              dirac_family_scenario, engine_model,
                              signature_flow_scenario, standard_metric_paths,
@@ -156,3 +156,22 @@ def test_dirac_family_trivial_and_wide():
     assert dirac_family_scenario((0.0, 0.0))["sf_phillips"].value == 0.0
     wide = dirac_family_scenario((-2.0, 2.0))
     assert wide["sf_phillips"].value == pytest.approx(2.0 / math.pi, abs=1e-7)
+
+
+GEOMETRY_GUARDS = {
+    "shape": (lambda: CircleMetricPath(np.linspace(0.0, 1.0, 5), np.ones((5, 8)), n=8),
+              ValidationError, r"shape \(5, 8\) does not match \(5, 9\)"),
+    "u-order": (lambda: CircleMetricPath([0.0, 0.5, 0.25, 1.0], np.ones((4, 9)), n=8),
+                ValidationError, "increase strictly from 0 to 1"),
+    "sample-count": (lambda: CircleMetricPath([0.0, 0.5, 1.0], np.ones((3, 9)), n=8),
+                     ValidationError, "at least 4 u-samples"),
+    "coefficients-domain": (lambda: standard_metric_paths(n=4)["cos_ramp"].coefficients(1.5),
+                            DomainError, r"metric parameter 1.5 outside \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("case", GEOMETRY_GUARDS)
+def test_public_guards_raise_their_documented_errors(case):
+    call, error, message = GEOMETRY_GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()

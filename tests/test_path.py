@@ -315,3 +315,42 @@ def test_max_sample_norm_is_the_largest_sample_norm(seed, flat):
     path = random_path(rng, random_block_model(rng), endpoint_flat=flat)
     loop = max(float(np.linalg.norm(mat, 2)) for mat in path._stack)
     assert path.max_sample_norm().hex() == loop.hex()
+
+
+def _frequency_path():
+    return OperatorPath(FrequencyModel(), [(0.0, AffineSymbol(-1.0)),
+                                           (1.0, AffineSymbol(1.0))])
+
+
+PATH_GUARDS = {
+    "interpolation": (lambda: scalar_path_from([0.0, 1.0], interpolation="quadratic"),
+                      "unknown interpolation 'quadratic'"),
+    "increasing": (lambda: OperatorPath(scalar_model(), [
+        (u, BlockHermitian(scalar_model(), [[u]])) for u in (0.0, 0.5, 0.5, 1.0)]),
+        "strictly increasing"),
+    "cubic-frequency": (lambda: OperatorPath(FrequencyModel(), [
+        (u, AffineSymbol(u)) for u in (0.0, 0.5, 1.0)], interpolation="cubic"),
+        "linear interpolation only"),
+    "sample-type": (lambda: OperatorPath(scalar_model(), [(0.0, [[1.0]]), (1.0, [[1.0]])]),
+                    "must be BlockHermitian"),
+    "sample-model": (lambda: OperatorPath(scalar_model(), [
+        (u, BlockHermitian(WeightedBlockModel([(1, 0.5)]), [[1.0]])) for u in (0.0, 1.0)]),
+        "must live on the path's model"),
+    "parameters-2d": (lambda: single_crossing_path().eval(np.zeros((2, 2))),
+                      "a number or a 1-D array"),
+    "norm-frequency": (lambda: _frequency_path().max_sample_norm(),
+                       "not defined for symbol paths"),
+    "conjugate-frequency": (lambda: conjugate(_frequency_path(), np.eye(1)),
+                            "block paths only"),
+    "direct-sum-frequency": (lambda: direct_sum(single_crossing_path(), _frequency_path()),
+                             "block paths only"),
+    "unitary-count": (lambda: conjugate(single_crossing_path(), [np.eye(1)] * 3),
+                      "one unitary per path sample"),
+}
+
+
+@pytest.mark.parametrize("case", PATH_GUARDS)
+def test_public_guards_raise_their_documented_errors(case):
+    call, message = PATH_GUARDS[case]
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sfcalc.errors import NumericError, ValidationError
+from sfcalc.errors import ModelError, NumericError, ValidationError
 from sfcalc.path import OperatorPath
 from sfcalc.tracemodel import (AffineSymbol, BlockHermitian,
                                ClusterBoundaryWarning, FrequencyModel,
@@ -316,3 +316,29 @@ def test_eigh_stack_matches_eigh_per_matrix_and_checks_residuals():
     broken[4, 0, 1] += 1e-3  # not Hermitian: LAPACK reads one triangle only
     with pytest.raises(NumericError, match="matrix 4 of 6"):
         eigh_stack(model, broken)
+
+
+TRACEMODEL_GUARDS = {
+    "interval": (lambda: Interval(1.0, 0.0), ValidationError, "empty interval"),
+    "block-shape": (lambda: BlockHermitian(model1(), np.eye(3)), ValidationError,
+                    r"shape \(3, 3\) does not match model dimension 2"),
+    "trace": (lambda: trace(np.eye(2)), ValidationError, "trace expects"),
+    "eigh": (lambda: eigh(np.eye(2)), ValidationError, "eigh expects"),
+    "projection": (lambda: spectral_projection(np.eye(2), Interval.nonnegative()),
+                   ValidationError, "spectral_projection expects"),
+    "function": (lambda: apply_function(np.eye(2), np.abs), ValidationError,
+                 "apply_function expects"),
+    "freq-trace": (lambda: freq_trace(model1(), IndicatorSymbol(0.0, 1.0)),
+                   ModelError, "freq_trace expects a FrequencyModel"),
+    "xi-max": (lambda: FrequencyModel(xi_max=0.0), ValidationError,
+               "xi_max must be positive"),
+    "density": (lambda: freq_trace(FrequencyModel(rho=-1.0), IndicatorSymbol(0.0, 1.0)),
+                ValidationError, "density must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", TRACEMODEL_GUARDS)
+def test_public_guards_raise_their_documented_errors(case):
+    call, error, message = TRACEMODEL_GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()
