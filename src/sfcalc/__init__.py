@@ -9,7 +9,7 @@ from .engines import (CHI_PROFILES, ChiProfile, SpectralFlowResult, cg_bound,
                       sf_phillips)
 from .errors import (DomainError, ModelError, NumericError, PreconditionError,
                      SfcalcError, ValidationError)
-from .apsindex import (SuspensionProblem, aps_index, assemble,
+from .apsindex import (SuspensionProblem, aps_index,
                        halfline_aps_apply_inverse,
                        perturbation_truncation_check)
 from .path import OperatorPath, concatenate, conjugate, direct_sum, reverse

@@ -19,9 +19,8 @@ from .tracemodel import (BlockHermitian, Interval, WeightedBlockModel, eigh,
                          endpoint_gap, endpoint_parts, nonneg_masks,
                          spectral_projection)
 
-__all__ = ["SuspensionProblem", "assemble", "aps_index",
-           "halfline_aps_apply_inverse", "halfline_residual",
-           "perturbation_truncation_check"]
+__all__ = ["SuspensionProblem", "aps_index", "halfline_aps_apply_inverse",
+           "halfline_residual", "perturbation_truncation_check"]
 
 SCHEMES = ("forward-upwind", "implicit-midpoint")
 GEOMETRIES = ("interval-APS", "cylinder")
@@ -73,9 +72,10 @@ def physical_memory():
 def _grid(prob, parts):
     """Node parameter values; cylinder nodes run beyond [0, 1].
 
-    A grid whose largest dense block would not fit in physical memory is
-    refused before it is built: the kernel check holds A_b, A_adj_b and the
-    SVD's working copy, each at most (K d) x ((K + 1) d) complex entries for
+    A grid whose largest dense matrix would not fit in physical memory is
+    refused before it is built: the index holds two such matrices at once,
+    the one it counts and the SVD's working copy (or that one and the next
+    being built), each at most (K d) x ((K + 1) d) complex entries for
     K intervals and block dimension d.
     """
     m = prob.grid_size
@@ -92,7 +92,7 @@ def _grid(prob, parts):
         steps = max(1, math.ceil(steps))
     d = max(n for n, _ in prob.path.model.blocks)
     rows, cols = (m + 2 * steps) * d, (m + 2 * steps + 1) * d
-    need = 3 * 16 * rows * cols
+    need = 2 * 16 * rows * cols
     memory = physical_memory()
     if need > memory:
         raise PreconditionError(
@@ -132,15 +132,16 @@ def _fill(dm, h, sign, q_first, q_last):
 
 
 def _block_matrices(prob):
-    """Yield the blocks (A_b, A_adj_b) of :func:`assemble`, in block order.
+    """Yield, per block in the model's order, A_b and then A_adj_b.
 
     A_b is d/du + D with the APS conditions (no nonnegative components at
     the first node, no negative ones at the last), A_adj_b is -d/du + D with
-    the complementary ones.  The path is evaluated once per distinct clamped
-    point: interval midpoints (forward-upwind) or nodes (implicit-midpoint,
-    which averages D over each node pair).  The boundary bases are each
-    block's endpoint eigenvectors, split into the negative and the
-    nonnegative side by :func:`nonneg_masks`.
+    the complementary ones.  Rows are interval values (grid-major), columns
+    are the unconstrained node components.  The path is evaluated once per
+    distinct clamped point: interval midpoints (forward-upwind) or nodes
+    (implicit-midpoint, which averages D over each node pair).  The boundary
+    bases are each block's endpoint eigenvectors, split into the negative
+    and the nonnegative side by :func:`nonneg_masks`.
     """
     path = prob.path
     model = path.model
@@ -158,30 +159,8 @@ def _block_matrices(prob):
         if prob.scheme == "implicit-midpoint":
             dm = 0.5 * (dm[:-1] + dm[1:])
         (v0, v1), (m0, m1) = v, mask
-        yield (_fill(dm, h, 1.0, v0[:, ~m0], v1[:, m1]),
-               _fill(dm, h, -1.0, v0[:, m0], v1[:, ~m1]))
-
-
-def _block_diag(mats):
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
-                   dtype=complex)
-    r = c = 0
-    for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
-def assemble(prob):
-    """Assembled matrices (A, A_adj) over all blocks.
-
-    Rows are interval values (grid-major within each block), columns are the
-    unconstrained node components; blocks are stacked block-diagonally in
-    the model's block order.
-    """
-    direct, adjoint = zip(*_block_matrices(prob))
-    return _block_diag(direct), _block_diag(adjoint)
+        yield _fill(dm, h, 1.0, v0[:, ~m0], v1[:, m1])
+        yield _fill(dm, h, -1.0, v0[:, m0], v1[:, ~m1])
 
 
 def _kernel_dim(mat, theta):
@@ -206,14 +185,14 @@ def aps_index(prob):
 
     Weighted kernel dimension of A minus that of A_adj, both detected by
     singular values below ``kernel_threshold`` times the largest one, and
-    snapped to the weight lattice as the engine values are.  The blocks are
-    assembled and checked one at a time.
+    snapped to the weight lattice as the engine values are.  Each block's
+    A_b and A_adj_b are built and counted one at a time, in that order.
     """
     theta = prob.kernel_threshold
-    counts = [_kernel_dim(a, theta) - _kernel_dim(adj, theta)
-              for a, adj in _block_matrices(prob)]
+    dims = [_kernel_dim(mat, theta) for mat in _block_matrices(prob)]
     model = prob.path.model
-    return model.snap(model.weighted_sum(counts))
+    return model.snap(model.weighted_sum(
+        [k - c for k, c in zip(dims[::2], dims[1::2])]))
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,7 @@ FIELDS = {
              "num_samples": (5, _integer(2)),
              "interpolation": ("linear", _one_of(("linear", "cubic"))), "params": {}},
     "engine_params": {"s_grid": ([0.5, 2.0, 8.0], _list_of(_POSITIVE)),
-                      "chi": (["sine"], _list_of(_one_of(CHI_PROFILES))),
-                      "min_endpoint_gap": (1e-8, _NONNEGATIVE)},
+                      "chi": (["sine"], _list_of(_one_of(CHI_PROFILES)))},
     "aps": {"enabled": (False, _BOOLEAN), "M": (200, _integer(16)),
             "scheme": ("forward-upwind", _one_of(SCHEMES)),
             "geometry": ("interval-APS", _one_of(GEOMETRIES)),
@@ -368,7 +367,6 @@ def _calls(doc, path):
     looks up its engine on this module when it runs, so a tracer that patches
     the engines here sees every call."""
     params = doc["engine_params"]
-    gap = float(params["min_endpoint_gap"])
     for name in doc["engines"]:
         if name == "crossing":
             yield "sf_crossing", "crossing", "", "crossing", lambda: sf_crossing(path)
@@ -382,7 +380,7 @@ def _calls(doc, path):
             for chi_name in params["chi"]:
                 chi = CHI_PROFILES[chi_name]()
                 yield ("sf_appendix", f"appendix:{chi_name}", "", f"appendix[{chi_name}]",
-                       lambda: sf_appendix(path, chi, rescale=True, min_endpoint_gap=gap))
+                       lambda: sf_appendix(path, chi, rescale=True))
     aps = doc["aps"]
     if aps["enabled"]:
         yield ("aps_index", "aps_index", "", None, lambda: aps_index(SuspensionProblem(

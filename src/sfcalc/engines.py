@@ -15,7 +15,7 @@ nonnegative side (:meth:`SpectralDecomposition.nonneg_mask` for one matrix,
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -365,15 +365,16 @@ def sf_integral(path, s, quad_tol=1e-8):
 # ---------------------------------------------------------------------------
 # appendix engine
 
-def sf_appendix(path, chi, rescale=False, min_endpoint_gap=1e-8):
+def sf_appendix(path, chi, rescale=False):
     """Cutoff-function formula for paths of norm at most 1.
 
     Computes half the u-integral of the weighted trace of (dF/du) chi'(F)
     plus the endpoint corrections  1/2 tr(2P - 1 - chi(F))  with P the
     nonnegative spectral projection.  ``rescale`` divides the whole path by
     its maximal sample norm first (the flow is invariant under positive
-    scaling).  Endpoints must be invertible beyond ``min_endpoint_gap``;
-    scenarios with a constant-dimensional endpoint kernel may pass 0.
+    scaling).  P is taken from F itself with the library's kernel rule, so
+    the value is the crossing engine's count at any endpoint, kernels
+    included.
     """
     if path.is_frequency:
         raise ModelError("sf_appendix is defined on weighted block models")
@@ -388,13 +389,8 @@ def sf_appendix(path, chi, rescale=False, min_endpoint_gap=1e-8):
                 f"path norm {max_norm:.3f} exceeds 1; pass rescale=True")
         scale = max_norm
 
-    # the decompositions of F / scale: eigenvalues divided, eigenvectors kept
-    dec0, dec1 = (replace(dec, eigenvalues=dec.eigenvalues / scale)
-                  for dec in _path_memo(path)["ends"])
-    gap = endpoint_gap(dec.eigenvalues for dec in (dec0, dec1))
-    if gap <= min_endpoint_gap:
-        raise PreconditionError(
-            f"endpoint gap {gap:.3e} at or below {min_endpoint_gap:.1e}")
+    dec0, dec1 = _path_memo(path)["ends"]
+    gap = endpoint_gap(dec.eigenvalues / scale for dec in (dec0, dec1))
 
     integral, quad_err, panels = adaptive_gauss_legendre(
         lambda us: _spectral_trace(path, us, chi.deriv, scale), 0.0, 1.0,
@@ -402,7 +398,7 @@ def sf_appendix(path, chi, rescale=False, min_endpoint_gap=1e-8):
 
     def endpoint_term(dec):
         p = dec.nonneg_mask().astype(float)
-        return float(np.sum(dec.weights * (2.0 * p - 1.0 - chi(dec.eigenvalues))))
+        return float(np.sum(dec.weights * (2.0 * p - 1.0 - chi(dec.eigenvalues / scale))))
 
     raw = 0.5 * integral + 0.5 * endpoint_term(dec1) - 0.5 * endpoint_term(dec0)
     diagnostics = {

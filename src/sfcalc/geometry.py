@@ -279,9 +279,8 @@ def signature_flow_scenario(metric, s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_gr
         "crossing": sf_crossing(path),
         "phillips": sf_phillips(path),
         "integral": {s: sf_integral(path, s) for s in [0.5, 2.0, 8.0]},
-        # endpoint kernels are the harmonic modes, constant along the path
-        "appendix": sf_appendix(path, CHI_PROFILES["sine"](), rescale=True,
-                                min_endpoint_gap=0.0)}, "n": metric.n}
+        "appendix": sf_appendix(path, CHI_PROFILES["sine"](), rescale=True)},
+        "n": metric.n}
     report["aps_index"] = aps_index(SuspensionProblem(path=path, grid_size=aps_grid))
 
     decs = [eigh(path.sample(j)) for j in range(len(path.us))]

@@ -1,9 +1,11 @@
 """Suspension-operator assembly, index, half-line inverse, truncation sweep."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 import sfcalc
+from sfcalc import apsindex
 from sfcalc.apsindex import (SCHEMES, SuspensionProblem, _block_matrices,
-                             _exp_moments, _kernel_dim, aps_index, assemble,
+                             _exp_moments, _kernel_dim, aps_index,
                              halfline_aps_apply_inverse, halfline_residual,
                              perturbation_truncation_check)
 from sfcalc.engines import sf_crossing
@@ -39,7 +42,7 @@ def constant_path(value, model=None):
 def test_assemble_zero_path_dimensions_and_kernels():
     # 0 counts as nonnegative, so the condition f(0) = 0 applies at the left
     prob = SuspensionProblem(path=constant_path(0.0), grid_size=32)
-    a, adj = assemble(prob)
+    a, adj = _block_matrices(prob)
     assert a.shape == (32, 32)
     assert adj.shape == (32, 32)
     assert np.linalg.svd(a, compute_uv=False).min() > 1e-3
@@ -48,7 +51,7 @@ def test_assemble_zero_path_dimensions_and_kernels():
 
 def test_assemble_positive_constant_no_kernel():
     prob = SuspensionProblem(path=constant_path(0.9), grid_size=32)
-    a, _ = assemble(prob)
+    a, _ = _block_matrices(prob)
     assert a.shape == (32, 32)
     assert np.linalg.svd(a, compute_uv=False).min() > 1e-3
 
@@ -57,7 +60,7 @@ def test_assemble_single_crossing_kernel_matches_ode_oracle():
     # f' + (2u-1) f = 0 with free boundary values: f = exp(-(u^2-u))
     path = flatten_endpoints(single_crossing_path(), margin=0.15)
     prob = SuspensionProblem(path=path, grid_size=200)
-    a, adj = assemble(prob)
+    a, adj = _block_matrices(prob)
     # one more column than rows: the kernel is the structural rank deficit
     assert a.shape[1] - a.shape[0] == 1
     u_mat, sigma, vt = np.linalg.svd(a)
@@ -78,10 +81,9 @@ def test_assemble_single_crossing_kernel_matches_ode_oracle():
 
 
 def _assemble_by_loop(prob):
-    """Reference for assemble(): evaluate the path per interval and fill
-    each node's stencil by one product, node by node."""
-    from scipy.linalg import block_diag
-
+    """Reference for _block_matrices(): evaluate the path per interval and
+    fill each node's stencil by one product, node by node.  Returns the list
+    [A_0, A_adj_0, A_1, A_adj_1, ...]."""
     path, m = prob.path, prob.grid_size
     if prob.geometry == "interval-APS":
         nodes = np.linspace(0.0, 1.0, m + 1)
@@ -98,7 +100,7 @@ def _assemble_by_loop(prob):
     else:
         mids = [0.5 * (d_at(nodes[j]) + d_at(nodes[j + 1])) for j in range(k)]
     decs = [eigh(path.eval(0.0)), eigh(path.eval(1.0))]
-    out = {1.0: [], -1.0: []}
+    out = []
     for b, sl in enumerate(path.model.block_slices):
         d = sl.stop - sl.start
         eye = np.eye(d)
@@ -118,8 +120,8 @@ def _assemble_by_loop(prob):
                     stencil = sign * step + 0.5 * mids[j][sl, sl]
                     mat[j * d:(j + 1) * d, starts[node]:starts[node + 1]] += \
                         stencil @ bases[node]
-            out[sign].append(mat)
-    return block_diag(*out[1.0]), block_diag(*out[-1.0])
+            out.append(mat)
+    return out
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -130,7 +132,9 @@ def test_assemble_matches_per_node_loop(geometry, scheme):
     path = random_path(rng, model, num_samples=7, endpoint_flat=True)
     prob = SuspensionProblem(path=path, grid_size=24, scheme=scheme,
                              geometry=geometry, cylinder_length=0.5)
-    for got, expected in zip(assemble(prob), _assemble_by_loop(prob)):
+    got_all, expected_all = list(_block_matrices(prob)), _assemble_by_loop(prob)
+    assert len(got_all) == len(expected_all) == 4
+    for got, expected in zip(got_all, expected_all):
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
@@ -267,11 +271,40 @@ def test_block_with_a_kernel_and_a_cokernel(scheme, geometry, length):
         (u, BlockHermitian(model, np.diag([2 * u - 1, 1 - 2 * u]))) for u in (0.0, 1.0)]))
     prob = SuspensionProblem(path=path, grid_size=64, scheme=scheme,
                              geometry=geometry, cylinder_length=length)
-    (a, adj), = _block_matrices(prob)
+    a, adj = _block_matrices(prob)
     assert a.shape[0] == a.shape[1] and adj.shape[0] == adj.shape[1]
     assert _kernel_dim(a, prob.kernel_threshold) == 1
     assert _kernel_dim(adj, prob.kernel_threshold) == 1
     assert aps_index(prob) == sf_crossing(path).value == 0.0
+
+
+def test_index_holds_one_block_matrix_at_a_time(monkeypatch):
+    # each matrix is counted and dropped before the next one is counted
+    received = []
+
+    def tracked(mat, theta):
+        gc.collect()
+        assert all(ref() is None for ref in received)
+        received.append(weakref.ref(mat))
+        return _kernel_dim(mat, theta)
+
+    monkeypatch.setattr(apsindex, "_kernel_dim", tracked)
+    model = WeightedBlockModel([(2, 1.0), (3, 0.5)])
+    path = random_path(rng_from_seed(6700), model, num_samples=7, endpoint_flat=True)
+    aps_index(SuspensionProblem(path=path, grid_size=32))
+    assert len(received) == 4
+
+
+@pytest.mark.parametrize("copies, runs", [(2.5, True), (1.5, False)])
+def test_memory_guard_counts_one_matrix_and_the_svd_copy(monkeypatch, copies, runs):
+    # a 1-dimensional block at M = 32 gives 32 x 33 complex matrices
+    monkeypatch.setattr(apsindex, "physical_memory", lambda: copies * 16 * 32 * 33)
+    prob = SuspensionProblem(path=constant_path(0.9), grid_size=32)
+    if runs:
+        assert aps_index(prob) == 0.0
+    else:
+        with pytest.raises(PreconditionError, match="dense 32 x 33 complex .* GiB"):
+            aps_index(prob)
 
 
 def _expand_adjoint_null(path, v, grid, dim):
@@ -292,7 +325,7 @@ def _expand_adjoint_null(path, v, grid, dim):
 
 def _adjoint_angle(path, grid, dim):
     prob = SuspensionProblem(path=path, grid_size=grid)
-    a, adj = assemble(prob)
+    a, adj = _block_matrices(prob)
     ua, sa, _ = np.linalg.svd(a)
     left_null = ua[:, -1]              # cokernel of A (interval space)
     assert sa[-1] > 1e-3 * sa[0]       # tall A: cokernel is structural

@@ -411,7 +411,6 @@ def _explicit_path(entry):
     ("random_agreement", "output", lambda tmp: {"csv": str(tmp / "absolute.csv")}),
     ("single_crossing", "aps.L", -1),
     ("single_crossing", "assertions.value_tolerance", -1.0),
-    ("random_agreement", "engine_params.min_endpoint_gap", -1.0),
     ("random_agreement", "output", {"csv": "same.txt", "log": "same.txt"}),
     ("random_agreement", "output", {"log": "nul\0byte.log"}),
     ("random_agreement", "path.params.num_samples", 10 ** 12),
@@ -441,7 +440,7 @@ def _explicit_path(entry):
         "random-flat-negative-samples", "single-crossing-negative-samples",
         "affine-frequency-negative-samples", "csv-empty-name",
         "csv-parent-directory", "csv-absolute-path", "negative-cylinder-length",
-        "negative-value-tolerance", "negative-min-endpoint-gap",
+        "negative-value-tolerance",
         "csv-and-log-same-file", "log-name-nul", "samples-beyond-memory",
         "block-beyond-memory", "metric-negative-n", "metric-beyond-memory",
         "value-tolerance-null", "schema-true", "expected-value-true",
@@ -473,10 +472,12 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, v
     ("involution_norm", "assertions.expected_valu", 99.0),
     ("involution_norm", "assertions.pairwise_agreemnt", 1e-6),
     ("single_crossing", "engine_params.window", 0.5),
+    ("random_agreement", "engine_params.min_endpoint_gap", -1.0),
     ("random_agreement", "path.params.num_sample", 7),
     ("zsign_dirac", "sed", 1),
 ], ids=["assertion-misspelled", "agreement-misspelled", "crossing-window",
-        "generator-param-misspelled", "top-level-misspelled"])
+        "negative-min-endpoint-gap", "generator-param-misspelled",
+        "top-level-misspelled"])
 def test_unknown_field_exits_2_and_names_it(tmp_path, capsys, scenario, key, value):
     # an unknown field is never read: a misspelled assertion would pass unchecked
     doc = json.load(open(bundled(f"{scenario}.json")))

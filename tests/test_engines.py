@@ -440,10 +440,16 @@ def test_appendix_norm_precondition():
     assert sf_appendix(path, CHI_PROFILES["sine"](), rescale=True).value == 1.0
 
 
-def test_appendix_endpoint_gap_precondition():
-    path = scalar_linear_path(0.0, 1.0)
-    with pytest.raises(PreconditionError):
-        sf_appendix(path, CHI_PROFILES["sine"]())
+@pytest.mark.parametrize("end", [-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 2e-9, -1e-6])
+@pytest.mark.parametrize("start", [3.0, -3.0, 0.5, -0.5])
+def test_engines_agree_at_an_endpoint_near_zero(start, end):
+    # every engine decides the endpoint's sign by the band 1e-9 (1 + |F|)
+    # on F itself, so a rescaled appendix path sees the same endpoint kernel
+    path = scalar_linear_path(start, end)
+    flow = sf_crossing(path).value
+    for res in (sf_phillips(path), sf_integral(path, 2.0),
+                sf_appendix(path, CHI_PROFILES["sine"](), rescale=True)):
+        assert abs(res.raw - flow) < 1e-6, res.method
 
 
 def test_appendix_rejects_frequency_model():
