@@ -75,8 +75,9 @@ def _grid(prob, parts):
     A grid whose largest dense matrix would not fit in physical memory is
     refused before it is built: the index holds two such matrices at once,
     the one it counts and the SVD's working copy (or that one and the next
-    being built), each at most (K d) x ((K + 1) d) complex entries for
-    K intervals and block dimension d.
+    being built), each at most (K d) x ((K + 1) d) entries for K intervals
+    and block dimension d.  The path is not evaluated yet, so every entry
+    counts 16 bytes, as a complex one: an upper bound for real blocks.
     """
     m = prob.grid_size
     steps = 0
@@ -96,7 +97,7 @@ def _grid(prob, parts):
     memory = physical_memory()
     if need > memory:
         raise PreconditionError(
-            f"the index needs dense {rows} x {cols} complex matrices, "
+            f"the index needs dense {rows} x {cols} matrices, at most "
             f"{need / 2 ** 30:.1f} GiB against {memory / 2 ** 30:.1f} GiB of "
             "physical memory; reduce the grid size or the cylinder length")
     if steps == 0:
@@ -118,7 +119,7 @@ def _fill(dm, h, sign, q_first, q_last):
     right = sign * (eye / h) + 0.5 * dm
     k_first, k_last = q_first.shape[1], q_last.shape[1]
     cols = k_first + (k - 1) * d + k_last
-    mat = np.zeros((k * d, cols), dtype=complex)
+    mat = np.zeros((k * d, cols), dtype=np.result_type(dm, q_first, q_last))
     # adding into the zero matrix stores every zero entry as +0.0
     mat[:d, :k_first] += left[0] @ q_first
     mat[-d:, cols - k_last:] += right[-1] @ q_last
@@ -141,7 +142,8 @@ def _block_matrices(prob):
     distinct clamped point: interval midpoints (forward-upwind) or nodes
     (implicit-midpoint, which averages D over each node pair).  The boundary
     bases are each block's endpoint eigenvectors, split into the negative
-    and the nonnegative side by :func:`nonneg_masks`.
+    and the nonnegative side by :func:`nonneg_masks`.  A block whose interval
+    values and endpoint bases have no imaginary part is built in float64.
     """
     path = prob.path
     model = path.model
@@ -159,6 +161,8 @@ def _block_matrices(prob):
         if prob.scheme == "implicit-midpoint":
             dm = 0.5 * (dm[:-1] + dm[1:])
         (v0, v1), (m0, m1) = v, mask
+        if not any(np.any(x.imag) for x in (dm, v0, v1)):
+            dm, v0, v1 = dm.real, v0.real, v1.real  # real SVDs, half the bytes
         yield _fill(dm, h, 1.0, v0[:, ~m0], v1[:, m1])
         yield _fill(dm, h, -1.0, v0[:, m0], v1[:, ~m1])
 

@@ -390,7 +390,6 @@ def sf_appendix(path, chi, rescale=False):
         scale = max_norm
 
     dec0, dec1 = _path_memo(path)["ends"]
-    gap = endpoint_gap(dec.eigenvalues / scale for dec in (dec0, dec1))
 
     integral, quad_err, panels = adaptive_gauss_legendre(
         lambda us: _spectral_trace(path, us, chi.deriv, scale), 0.0, 1.0,
@@ -407,7 +406,7 @@ def sf_appendix(path, chi, rescale=False):
         "endpoint_term_end": 0.5 * endpoint_term(dec1),
         "endpoint_term_start": -0.5 * endpoint_term(dec0),
         "rescale_factor": scale,
-        "min_endpoint_gap": gap,
+        "min_endpoint_gap": endpoint_gap(dec.eigenvalues for dec in (dec0, dec1)),
         "quadrature_error": 0.5 * quad_err,
         "quadrature_panels": float(panels),
     }

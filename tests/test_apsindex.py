@@ -19,7 +19,7 @@ from sfcalc.apsindex import (SCHEMES, SuspensionProblem, _block_matrices,
                              halfline_aps_apply_inverse, halfline_residual,
                              perturbation_truncation_check)
 from sfcalc.engines import sf_crossing
-from sfcalc.errors import PreconditionError, ValidationError
+from sfcalc.errors import NumericError, PreconditionError, ValidationError
 from sfcalc.generators import (involution_path, random_block_model,
                                random_path, random_unitary_path, rng_from_seed,
                                scalar_linear_path, single_crossing_path)
@@ -259,16 +259,21 @@ def test_index_equals_flow_with_kernel_at_start():
         == sf_crossing(path).value
 
 
+def kernel_and_cokernel_path():
+    # diag(2u - 1, 1 - 2u): one eigenvalue crosses upward, one downward, in
+    # one real block
+    model = WeightedBlockModel([(2, 1.0)])
+    return flatten_endpoints(OperatorPath(model, [
+        (u, BlockHermitian(model, np.diag([2 * u - 1, 1 - 2 * u]))) for u in (0.0, 1.0)]))
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("geometry, length", [("interval-APS", None), ("cylinder", 0.5)])
 def test_block_with_a_kernel_and_a_cokernel(scheme, geometry, length):
-    # diag(2u - 1, 1 - 2u): one eigenvalue crosses upward, one downward, in
-    # one block, so A and A_adj are square with a one-dimensional kernel
-    # each (singular value about 1e-17 sigma_max, the next at 1.7e-2 or
-    # more); every route to the kernel count has to resolve this block
-    model = WeightedBlockModel([(2, 1.0)])
-    path = flatten_endpoints(OperatorPath(model, [
-        (u, BlockHermitian(model, np.diag([2 * u - 1, 1 - 2 * u]))) for u in (0.0, 1.0)]))
+    # A and A_adj are square with a one-dimensional kernel each (singular
+    # value about 1e-17 sigma_max, the next at 1.7e-2 or more); every route
+    # to the kernel count has to resolve this block
+    path = kernel_and_cokernel_path()
     prob = SuspensionProblem(path=path, grid_size=64, scheme=scheme,
                              geometry=geometry, cylinder_length=length)
     a, adj = _block_matrices(prob)
@@ -276,6 +281,117 @@ def test_block_with_a_kernel_and_a_cokernel(scheme, geometry, length):
     assert _kernel_dim(a, prob.kernel_threshold) == 1
     assert _kernel_dim(adj, prob.kernel_threshold) == 1
     assert aps_index(prob) == sf_crossing(path).value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# real blocks: built in float64, counted as the complex build would be
+
+REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+def single_crossing_cylinder(**kw):
+    return SuspensionProblem(path=single_crossing_path(), grid_size=64,
+                             geometry="cylinder", **kw)
+
+
+def flat_scalar_paths():
+    ends = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    return [flatten_endpoints(scalar_linear_path(a, b), margin=0.15)
+            for a in ends for b in ends]
+
+
+def involution_blocks_path():
+    # the bundled involution_norm scenario: two 1-dimensional blocks
+    model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
+    path, _ = involution_path(model, [1, 1], rng=rng_from_seed(414))
+    return flatten_endpoints(path)
+
+
+def real_problems():
+    """Problems whose every block is 1-dimensional or real diagonal."""
+    single = flatten_endpoints(single_crossing_path(), margin=0.15)
+    return ([SuspensionProblem(path=single, grid_size=200),
+             single_crossing_cylinder(),
+             SuspensionProblem(path=kernel_and_cokernel_path(), grid_size=64),
+             SuspensionProblem(path=kernel_and_cokernel_path(), grid_size=200),
+             SuspensionProblem(path=involution_blocks_path(), grid_size=64)]
+            + [SuspensionProblem(path=p, grid_size=128) for p in flat_scalar_paths()])
+
+
+DTYPE_CASES = {
+    "single-crossing-cylinder": (single_crossing_cylinder, [REAL] * 2),
+    "kernel-and-cokernel": (lambda: SuspensionProblem(
+        path=kernel_and_cokernel_path(), grid_size=32), [REAL] * 2),
+    "involution": (lambda: SuspensionProblem(
+        path=involution_blocks_path(), grid_size=32), [REAL] * 4),
+    "real-symmetric-3": (lambda: SuspensionProblem(path=flatten_endpoints(
+        involution_path(WeightedBlockModel([(3, 1.0)]), [2])[0]), grid_size=32),
+        [REAL] * 2),
+    "complex-two-block": (lambda: SuspensionProblem(path=random_path(
+        rng_from_seed(6700), WeightedBlockModel([(2, 1.0), (3, 0.5)]),
+        num_samples=7, endpoint_flat=True), grid_size=24), [COMPLEX] * 4),
+    "one-real-one-complex": (lambda: SuspensionProblem(path=random_path(
+        rng_from_seed(6701), WeightedBlockModel([(1, 1.0), (2, 0.5)]),
+        num_samples=7, endpoint_flat=True), grid_size=24),
+        [REAL, REAL, COMPLEX, COMPLEX]),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("case", sorted(DTYPE_CASES))
+def test_block_matrices_are_real_exactly_when_the_block_data_is(case, scheme):
+    build, dtypes = DTYPE_CASES[case]
+    prob = replace(build(), scheme=scheme)
+    assert [mat.dtype for mat in _block_matrices(prob)] == dtypes
+
+
+def _count(mat, theta):
+    try:
+        return _kernel_dim(mat, theta)
+    except NumericError:
+        return "ambiguous"
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_real_matrices_count_as_their_complex_copies(scheme):
+    for prob in real_problems():
+        prob, theta = replace(prob, scheme=scheme), prob.kernel_threshold
+        for mat in _block_matrices(prob):
+            assert mat.dtype == REAL
+            assert _count(mat, theta) == _count(mat.astype(complex), theta)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_real_matrices_hold_the_complex_build_entries(monkeypatch, scheme):
+    # on 1-dimensional and diagonal blocks every product has one nonzero
+    # term, so the real build is the complex one's real part, bit for bit
+    probs = [replace(prob, scheme=scheme) for prob in real_problems()]
+    real = [mat for prob in probs for mat in _block_matrices(prob)]
+    fill = apsindex._fill
+
+    def complex_fill(dm, h, sign, q_first, q_last):
+        return fill(dm.astype(complex), h, sign,
+                    q_first.astype(complex), q_last.astype(complex))
+
+    monkeypatch.setattr(apsindex, "_fill", complex_fill)
+    built = [mat for prob in probs for mat in _block_matrices(prob)]
+    assert len(real) == len(built)
+    for mat, ref in zip(real, built):
+        assert ref.dtype == COMPLEX and not ref.imag.any()
+        assert mat.tobytes() == np.ascontiguousarray(ref.real).tobytes()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_real_matrices_still_refuse_an_ambiguous_gap(scheme):
+    # at theta = 0.01 singular values of the single-crossing cylinder fall
+    # in the window [cut / 10, 10 cut] of both matrices
+    prob = single_crossing_cylinder(scheme=scheme, kernel_threshold=0.01)
+    for mat in _block_matrices(prob):
+        assert mat.dtype == REAL
+        with pytest.raises(NumericError, match="gap ambiguity"):
+            _kernel_dim(mat, prob.kernel_threshold)
+    with pytest.raises(NumericError, match="gap ambiguity"):
+        aps_index(prob)
 
 
 def test_index_holds_one_block_matrix_at_a_time(monkeypatch):
@@ -297,13 +413,14 @@ def test_index_holds_one_block_matrix_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("copies, runs", [(2.5, True), (1.5, False)])
 def test_memory_guard_counts_one_matrix_and_the_svd_copy(monkeypatch, copies, runs):
-    # a 1-dimensional block at M = 32 gives 32 x 33 complex matrices
+    # a 1-dimensional block at M = 32 gives 32 x 33 real matrices; the
+    # guard runs before the path is evaluated and counts 16 bytes an entry
     monkeypatch.setattr(apsindex, "physical_memory", lambda: copies * 16 * 32 * 33)
     prob = SuspensionProblem(path=constant_path(0.9), grid_size=32)
     if runs:
         assert aps_index(prob) == 0.0
     else:
-        with pytest.raises(PreconditionError, match="dense 32 x 33 complex .* GiB"):
+        with pytest.raises(PreconditionError, match="dense 32 x 33 matrices, .* GiB"):
             aps_index(prob)
 
 

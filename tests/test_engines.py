@@ -386,8 +386,11 @@ def test_appendix_rescale_matches_rescaled_samples():
                 assert abs(got.raw - ref.raw) <= 1e-13
                 assert (got.diagnostics["quadrature_panels"]
                         == ref.diagnostics["quadrature_panels"])
-                assert got.diagnostics["min_endpoint_gap"] == pytest.approx(
-                    ref.diagnostics["min_endpoint_gap"], rel=1e-13)
+                # the gap is F's own, as the crossing engine reports it
+                gap = got.diagnostics["min_endpoint_gap"]
+                assert gap == sf_crossing(path).diagnostics["min_endpoint_gap"]
+                assert ref.diagnostics["min_endpoint_gap"] * scale \
+                    == pytest.approx(gap, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
