@@ -5,6 +5,10 @@ conditions of Atiyah-Patodi-Singer type remove the nonnegative spectral
 components at the left end and the negative ones at the right end (the
 formal adjoint carries the complementary conditions).  Kernels are detected
 from singular values, per ambient block, and weighted by the block traces.
+A 1-dimensional block gives bidiagonal matrices, whose small singular values
+are counted by two Sturm sequences on their Golub-Kahan tridiagonal; a block
+of dimension 2 or more, and any count those two sequences leave ambiguous,
+goes through a dense SVD.
 """
 
 import math
@@ -167,12 +171,73 @@ def _block_matrices(prob):
         yield _fill(dm, h, -1.0, v0[:, m0], v1[:, ~m1])
 
 
+def _bidiagonal_chain(mat):
+    """Off-diagonal of the Golub-Kahan tridiagonal of ``mat``, or None.
+
+    ``mat`` is bidiagonal when its nonzero entries lie on the main diagonal
+    and the first upper one, or the first lower one.  Its singular values
+    with both signs, and |rows - cols| zeros, are then the eigenvalues of the
+    zero-diagonal tridiagonal of size rows + cols whose off-diagonal
+    interleaves the absolute values of those two diagonals (Golub and Kahan,
+    SIAM J. Numer. Anal. B 2, 1965); a zero entry splits the chain.
+    """
+    nnz = np.count_nonzero(mat)
+    for b in (mat, mat.T):
+        main, upper = np.diagonal(b), np.diagonal(b, 1)
+        if np.count_nonzero(main) + np.count_nonzero(upper) == nnz:
+            chain = np.zeros(sum(mat.shape) - 1)
+            chain[:2 * main.size:2] = np.abs(main)
+            chain[1:2 * upper.size:2] = np.abs(upper)
+            return chain
+    return None
+
+
+def _count_below(chain_sq, x):
+    """Eigenvalues below x > 0 of the zero-diagonal tridiagonal whose squared
+    off-diagonal is ``chain_sq`` (entries at most 1): the negative pivots of
+    its LDL* shifted by -x.  A pivot smaller than the smallest normal number
+    becomes minus that number, as in LAPACK's bisection (dlaebz)."""
+    pivmin = np.finfo(float).tiny
+    q, count = -max(x, pivmin), 1
+    for e2 in chain_sq:
+        q = -x - e2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0
+    return count
+
+
 def _kernel_dim(mat, theta):
     """Kernel dimension by singular-value thresholding with a gap check.
 
-    Assembled blocks are never empty and their difference stencils make
-    the largest singular value positive.
+    Singular values below cut = theta * sigma_max count as kernel; one in
+    the window [cut / 10, 10 cut] raises :class:`NumericError`.  Assembled
+    blocks are never empty and their difference stencils make sigma_max
+    positive.
+
+    A bidiagonal matrix (every 1-dimensional block) is first decided without
+    an SVD.  The largest row 2-norm of its Golub-Kahan tridiagonal T is a
+    lower bound lo <= sigma_max, Gershgorin's bound an upper one hi, and
+    Sturm counts on T give the singular values below theta lo / 10 and
+    below 10 theta hi, to high relative accuracy (Demmel and Kahan, SIAM J.
+    Sci. Stat. Comput. 11, 1990).  Equal counts leave no singular value in a
+    window that contains the dense one, so the kernel follows with the dense
+    decision; unequal counts fall through to the dense SVD, which decides or
+    raises.  Blocks of dimension 2 or more stay dense: an unpivoted block
+    LDL* has no such accuracy guarantee.
     """
+    chain = _bidiagonal_chain(mat)
+    if chain is not None and chain.any():
+        chain /= chain.max()  # the thresholds are relative; no square overflows
+        ends = np.concatenate([[0.0], chain, [0.0]])
+        lo = float(np.hypot(ends[:-1], ends[1:]).max())
+        hi = float((ends[:-1] + ends[1:]).max())
+        chain_sq = (chain * chain).tolist()
+        below = _count_below(chain_sq, theta * lo / 10.0)
+        if below == _count_below(chain_sq, 10.0 * theta * hi):
+            # T has max(rows, cols) eigenvalues <= 0, so the kernel
+            # cols - min(rows, cols) + #{sigma < x} is below - rows
+            return below - mat.shape[0]
     sigma = np.linalg.svd(mat, compute_uv=False)
     cut = theta * float(sigma[0])
     in_window = (sigma >= cut / 10.0) & (sigma <= cut * 10.0)

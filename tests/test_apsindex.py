@@ -345,20 +345,101 @@ def test_block_matrices_are_real_exactly_when_the_block_data_is(case, scheme):
     assert [mat.dtype for mat in _block_matrices(prob)] == dtypes
 
 
-def _count(mat, theta):
+def _dense_kernel_dim(mat, theta, sigma=None):
+    """Reference count: every singular value by a dense SVD (or ``sigma``,
+    those of ``mat``), thresholded at theta * sigma_max, ambiguous when one
+    lies in [cut / 10, 10 cut]."""
+    if sigma is None:
+        sigma = np.linalg.svd(mat, compute_uv=False)
+    cut = theta * float(sigma[0])
+    in_window = (sigma >= cut / 10.0) & (sigma <= cut * 10.0)
+    if np.any(in_window):
+        raise NumericError("singular-value gap ambiguity", partial=sigma)
+    return mat.shape[1] - int(np.sum(sigma >= cut))
+
+
+def _count(mat, theta, kernel_dim=_kernel_dim):
     try:
-        return _kernel_dim(mat, theta)
+        return kernel_dim(mat, theta)
     except NumericError:
         return "ambiguous"
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_real_matrices_count_as_their_complex_copies(scheme):
+    # the complex copy is bidiagonal too, so both take the Sturm route on
+    # 1-dimensional blocks; the dense reference judges both
     for prob in real_problems():
         prob, theta = replace(prob, scheme=scheme), prob.kernel_threshold
         for mat in _block_matrices(prob):
             assert mat.dtype == REAL
-            assert _count(mat, theta) == _count(mat.astype(complex), theta)
+            assert _count(mat, theta) == _count(mat.astype(complex), theta) \
+                == _count(mat, theta, _dense_kernel_dim)
+
+
+def test_kernel_dim_equals_the_dense_reference_over_theta():
+    # 60 thresholds over the 1-dimensional blocks of the first five real
+    # problems (the 2-dimensional ones run the reference's own code): each
+    # count equals the reference's, or both find the gap ambiguous, where
+    # the Sturm route's unequal counts fall back to the dense SVD
+    mats = [mat for prob in real_problems()[:5] for scheme in SCHEMES
+            if all(n == 1 for n, _ in prob.path.model.blocks)
+            for mat in _block_matrices(replace(prob, scheme=scheme))]
+    assert len(mats) == 16
+    sigmas = [np.linalg.svd(mat, compute_uv=False) for mat in mats]
+    outcomes = set()
+    for theta in np.geomspace(1e-9, 0.3, 60):
+        for mat, sigma in zip(mats, sigmas):
+            expected = _count(mat, theta, lambda m, t: _dense_kernel_dim(m, t, sigma))
+            assert _count(mat, theta) == expected
+            outcomes.add(expected == "ambiguous")
+    assert outcomes == {True, False}
+
+
+def test_one_dimensional_blocks_need_no_svd(monkeypatch):
+    # the cylinder's two 1800 x 1801 and 1800 x 1799 bidiagonal matrices are
+    # counted by Sturm sequences alone
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD on a 1-dimensional block")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    prob = SuspensionProblem(path=single_crossing_path(), grid_size=200,
+                             geometry="cylinder")
+    assert aps_index(prob) == 1.0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("edge", [10.0, 0.1])
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_kernel_dim_at_the_edges_of_the_gap_window(scheme, edge, side):
+    # theta puts the smallest singular value of each single-crossing
+    # cylinder matrix at edge * cut * side, just inside or just outside the
+    # window [cut / 10, 10 cut]: the count is the reference's, ambiguity
+    # included, and never a different certified count
+    for mat in _block_matrices(single_crossing_cylinder(scheme=scheme)):
+        sigma = np.linalg.svd(mat, compute_uv=False)
+        theta = sigma[-1] / (edge * side * sigma[0])
+        assert _count(mat, theta) == _count(mat, theta, _dense_kernel_dim)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_zero_stencil_entries_split_the_chain(scheme):
+    # D = 2M makes the stencil entry -1/h + D/2 exactly 0: both matrices
+    # are 2M times the identity, their Golub-Kahan chains full of zeros
+    m = 64
+    prob = SuspensionProblem(path=constant_path(2.0 * m), grid_size=m, scheme=scheme)
+    for mat in _block_matrices(prob):
+        assert np.array_equal(mat, 2.0 * m * np.eye(m))
+        assert _kernel_dim(mat, prob.kernel_threshold) == 0 \
+            == _dense_kernel_dim(mat, prob.kernel_threshold)
+    assert aps_index(prob) == 0.0
+
+
+def test_sturm_count_survives_a_zero_pivot():
+    # for [[1, 1]] (sigma = sqrt 2) at theta = 0.05 the upper Sturm shift is
+    # 10 theta * 2 = 1 exactly, where the second pivot -1 - 1 / (-1) is 0
+    mat = np.array([[1.0, 1.0]])
+    assert _kernel_dim(mat, 0.05) == 1 == _dense_kernel_dim(mat, 0.05)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
