@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from sfcalc.apsindex import SuspensionProblem, _block_matrices, aps_index
+from sfcalc.apsindex import SuspensionProblem, _block_matrices, _fill, aps_index
 from sfcalc.engines import sf_crossing
 from sfcalc.generators import random_block_model, random_path, rng_from_seed
 
@@ -34,8 +34,8 @@ def main():
     for m in args.grids:
         prob = SuspensionProblem(path=path, grid_size=m, scheme=args.scheme)
         kept = np.inf
-        for mat in _block_matrices(prob):
-            sigma = np.linalg.svd(mat, compute_uv=False)
+        for stencil in _block_matrices(prob):
+            sigma = np.linalg.svd(_fill(*stencil), compute_uv=False)
             kept = min(kept, sigma[sigma >= prob.kernel_threshold * sigma[0]].min())
         idx = aps_index(prob)
         print(f"{m:>6} {idx:>8} {kept:>16.6e}")

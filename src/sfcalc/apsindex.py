@@ -5,10 +5,9 @@ conditions of Atiyah-Patodi-Singer type remove the nonnegative spectral
 components at the left end and the negative ones at the right end (the
 formal adjoint carries the complementary conditions).  Kernels are detected
 from singular values, per ambient block, and weighted by the block traces.
-A 1-dimensional block gives bidiagonal matrices, whose small singular values
-are counted by two Sturm sequences on their Golub-Kahan tridiagonal; a block
-of dimension 2 or more, and any count those two sequences leave ambiguous,
-goes through a dense SVD.
+Assembly yields stencils, not matrices.  A 1-dimensional block is counted by
+two Sturm sequences on the Golub-Kahan tridiagonal read from its stencil; a
+larger block, and any count left ambiguous, is filled for a dense SVD.
 """
 
 import math
@@ -35,7 +34,7 @@ class SuspensionProblem:
     """Grid data for d/du + D_u with APS boundary conditions.
 
     ``grid_size`` is the number of intervals on [0, 1]; the cylinder
-    geometry extends the path constantly by ``cylinder_length`` on both
+    geometry extends the path constantly by ``cylinder_length`` > 0 on both
     sides (default 4 / smallest endpoint gap) and imposes the boundary
     conditions at the truncated ends.
     """
@@ -58,6 +57,8 @@ class SuspensionProblem:
             raise ValidationError(f"unknown geometry {self.geometry!r}")
         if not self.kernel_threshold > 0:
             raise ValidationError("kernel_threshold must be positive")
+        if self.cylinder_length is not None and not self.cylinder_length > 0:
+            raise ValidationError("cylinder_length must be positive")
         if self.geometry == "interval-APS" and not self.path.endpoint_flat:
             raise ValidationError("interval-APS requires an endpoint-flat path")
         if self.geometry == "cylinder":
@@ -78,10 +79,10 @@ def _grid(prob, parts):
 
     A grid whose largest dense matrix would not fit in physical memory is
     refused before it is built: the index holds two such matrices at once,
-    the one it counts and the SVD's working copy (or that one and the next
-    being built), each at most (K d) x ((K + 1) d) entries for K intervals
-    and block dimension d.  The path is not evaluated yet, so every entry
-    counts 16 bytes, as a complex one: an upper bound for real blocks.
+    the one it counts and the SVD's working copy, each at most (K d) x
+    ((K + 1) d) entries for K intervals and block dimension d.  The path is
+    not evaluated yet, so every entry counts 16 bytes, as a complex one: an
+    upper bound for real blocks.
     """
     m = prob.grid_size
     steps = 0
@@ -109,6 +110,12 @@ def _grid(prob, parts):
     return np.arange(-steps, m + steps + 1) / m
 
 
+def _couplings(dm, h, sign):
+    """Coefficients of node j and of node j + 1 in row block j."""
+    eye = np.eye(dm.shape[1])
+    return sign * (-eye / h) + 0.5 * dm, sign * (eye / h) + 0.5 * dm
+
+
 def _fill(dm, h, sign, q_first, q_last):
     """Block-bidiagonal matrix of sign * d/du + D on one block.
 
@@ -118,9 +125,7 @@ def _fill(dm, h, sign, q_first, q_last):
     and ``q_last``, interior nodes all d components.
     """
     k, d, _ = dm.shape
-    eye = np.eye(d)
-    left = sign * (-eye / h) + 0.5 * dm
-    right = sign * (eye / h) + 0.5 * dm
+    left, right = _couplings(dm, h, sign)
     k_first, k_last = q_first.shape[1], q_last.shape[1]
     cols = k_first + (k - 1) * d + k_last
     mat = np.zeros((k * d, cols), dtype=np.result_type(dm, q_first, q_last))
@@ -137,7 +142,8 @@ def _fill(dm, h, sign, q_first, q_last):
 
 
 def _block_matrices(prob):
-    """Yield, per block in the model's order, A_b and then A_adj_b.
+    """Yield, per block in the model's order, the stencil of A_b and then
+    that of A_adj_b: the arguments of :func:`_fill`, not the dense matrix.
 
     A_b is d/du + D with the APS conditions (no nonnegative components at
     the first node, no negative ones at the last), A_adj_b is -d/du + D with
@@ -167,29 +173,23 @@ def _block_matrices(prob):
         (v0, v1), (m0, m1) = v, mask
         if not any(np.any(x.imag) for x in (dm, v0, v1)):
             dm, v0, v1 = dm.real, v0.real, v1.real  # real SVDs, half the bytes
-        yield _fill(dm, h, 1.0, v0[:, ~m0], v1[:, m1])
-        yield _fill(dm, h, -1.0, v0[:, m0], v1[:, ~m1])
+        yield dm, h, 1.0, v0[:, ~m0], v1[:, m1]
+        yield dm, h, -1.0, v0[:, m0], v1[:, ~m1]
 
 
-def _bidiagonal_chain(mat):
-    """Off-diagonal of the Golub-Kahan tridiagonal of ``mat``, or None.
-
-    ``mat`` is bidiagonal when its nonzero entries lie on the main diagonal
-    and the first upper one, or the first lower one.  Its singular values
-    with both signs, and |rows - cols| zeros, are then the eigenvalues of the
-    zero-diagonal tridiagonal of size rows + cols whose off-diagonal
-    interleaves the absolute values of those two diagonals (Golub and Kahan,
-    SIAM J. Numer. Anal. B 2, 1965); a zero entry splits the chain.
+def _chain(dm, h, sign, q_first, q_last):
+    """Off-diagonal of the Golub-Kahan tridiagonal of a 1-dimensional
+    block's (bidiagonal) matrix: |left_j| and |right_j| interleaved, the
+    first entry through ``q_first``, the last through ``q_last``, each
+    dropped where its basis has no column.  The singular values with both
+    signs, and |rows - cols| zeros, are the eigenvalues of the zero-diagonal
+    tridiagonal with this off-diagonal (Golub and Kahan, SIAM J. Numer.
+    Anal. B 2, 1965); a zero entry splits the chain.
     """
-    nnz = np.count_nonzero(mat)
-    for b in (mat, mat.T):
-        main, upper = np.diagonal(b), np.diagonal(b, 1)
-        if np.count_nonzero(main) + np.count_nonzero(upper) == nnz:
-            chain = np.zeros(sum(mat.shape) - 1)
-            chain[:2 * main.size:2] = np.abs(main)
-            chain[1:2 * upper.size:2] = np.abs(upper)
-            return chain
-    return None
+    left, right = _couplings(dm, h, sign)
+    inner = np.stack([left.ravel(), right.ravel()], axis=1).ravel()[1:-1]
+    return np.abs(np.concatenate(
+        [(left[0] @ q_first).ravel(), inner, (right[-1] @ q_last).ravel()]))
 
 
 def _count_below(chain_sq, x):
@@ -207,37 +207,40 @@ def _count_below(chain_sq, x):
     return count
 
 
-def _kernel_dim(mat, theta):
-    """Kernel dimension by singular-value thresholding with a gap check.
+def _kernel_dim(stencil, theta):
+    """Kernel dimension of a stencil's matrix, with a gap check.
 
     Singular values below cut = theta * sigma_max count as kernel; one in
     the window [cut / 10, 10 cut] raises :class:`NumericError`.  Assembled
     blocks are never empty and their difference stencils make sigma_max
     positive.
 
-    A bidiagonal matrix (every 1-dimensional block) is first decided without
-    an SVD.  The largest row 2-norm of its Golub-Kahan tridiagonal T is a
-    lower bound lo <= sigma_max, Gershgorin's bound an upper one hi, and
-    Sturm counts on T give the singular values below theta lo / 10 and
+    A 1-dimensional block is first decided without a matrix, from its
+    :func:`_chain`.  The largest row 2-norm of the Golub-Kahan tridiagonal T
+    is a lower bound lo <= sigma_max, Gershgorin's bound an upper one hi,
+    and Sturm counts on T give the singular values below theta lo / 10 and
     below 10 theta hi, to high relative accuracy (Demmel and Kahan, SIAM J.
     Sci. Stat. Comput. 11, 1990).  Equal counts leave no singular value in a
     window that contains the dense one, so the kernel follows with the dense
-    decision; unequal counts fall through to the dense SVD, which decides or
-    raises.  Blocks of dimension 2 or more stay dense: an unpivoted block
-    LDL* has no such accuracy guarantee.
+    decision.  Unequal counts, an all-zero chain and blocks of dimension 2
+    or more (an unpivoted block LDL* has no such accuracy guarantee) fill
+    the dense matrix with :func:`_fill` for an SVD, which decides or
+    raises; the matrix is dropped when the call returns.
     """
-    chain = _bidiagonal_chain(mat)
-    if chain is not None and chain.any():
-        chain /= chain.max()  # the thresholds are relative; no square overflows
-        ends = np.concatenate([[0.0], chain, [0.0]])
-        lo = float(np.hypot(ends[:-1], ends[1:]).max())
-        hi = float((ends[:-1] + ends[1:]).max())
-        chain_sq = (chain * chain).tolist()
-        below = _count_below(chain_sq, theta * lo / 10.0)
-        if below == _count_below(chain_sq, 10.0 * theta * hi):
-            # T has max(rows, cols) eigenvalues <= 0, so the kernel
-            # cols - min(rows, cols) + #{sigma < x} is below - rows
-            return below - mat.shape[0]
+    if stencil[0].shape[1] == 1:
+        chain = _chain(*stencil)
+        if chain.any():
+            chain /= chain.max()  # the thresholds are relative; no square overflows
+            ends = np.concatenate([[0.0], chain, [0.0]])
+            lo = float(np.hypot(ends[:-1], ends[1:]).max())
+            hi = float((ends[:-1] + ends[1:]).max())
+            chain_sq = (chain * chain).tolist()
+            below = _count_below(chain_sq, theta * lo / 10.0)
+            if below == _count_below(chain_sq, 10.0 * theta * hi):
+                # T has max(rows, cols) eigenvalues <= 0, so the kernel
+                # cols - min(rows, cols) + #{sigma < x} is below - rows
+                return below - stencil[0].shape[0]
+    mat = _fill(*stencil)
     sigma = np.linalg.svd(mat, compute_uv=False)
     cut = theta * float(sigma[0])
     in_window = (sigma >= cut / 10.0) & (sigma <= cut * 10.0)
@@ -255,10 +258,10 @@ def aps_index(prob):
     Weighted kernel dimension of A minus that of A_adj, both detected by
     singular values below ``kernel_threshold`` times the largest one, and
     snapped to the weight lattice as the engine values are.  Each block's
-    A_b and A_adj_b are built and counted one at a time, in that order.
+    A_b and A_adj_b are counted one at a time, in that order.
     """
     theta = prob.kernel_threshold
-    dims = [_kernel_dim(mat, theta) for mat in _block_matrices(prob)]
+    dims = [_kernel_dim(stencil, theta) for stencil in _block_matrices(prob)]
     model = prob.path.model
     return model.snap(model.weighted_sum(
         [k - c for k, c in zip(dims[::2], dims[1::2])]))
@@ -289,15 +292,16 @@ def halfline_aps_apply_inverse(d0, f, length, grid_size):
     """
     if not isinstance(d0, BlockHermitian):
         raise ValidationError("halfline inverse expects a BlockHermitian")
+    if not (length > 0 and grid_size >= 1):
+        raise ValidationError("halfline inverse needs length > 0 and grid_size >= 1")
     dec = eigh(d0)
     if dec.kernel_mask().any():
         raise PreconditionError("half-line inverse needs an invertible operator")
     n = d0.model.dim
     f = np.asarray(f, dtype=complex)
-    squeeze = False
-    if f.ndim == 1:
+    squeeze = f.ndim == 1
+    if squeeze:
         f = f[:, None]
-        squeeze = True
     if f.shape != (grid_size + 1, n):
         raise ValidationError(
             f"rhs shape {f.shape} does not match grid ({grid_size + 1}, {n})")

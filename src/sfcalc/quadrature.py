@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _EPS = np.finfo(float).eps
@@ -47,7 +47,8 @@ def _panel_values(f, panels):
 
 def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
                             breakpoints=()):
-    """Integrate the vectorized callable ``f`` over ``[a, b]``.
+    """Integrate the vectorized callable ``f`` over ``[a, b]``, a < b (else
+    a :class:`DomainError`).
 
     Returns ``(value, error_estimate, panels_used)``.  ``max_panels`` caps
     the panels evaluated: a level that would pass it is not evaluated, and
@@ -60,13 +61,8 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     rounding floor whose estimates sum past ``abs_tol`` are a NumericError
     carrying the value.
     """
-    if b == a:
-        return 0.0, 0.0, 0
-    if b < a:
-        value, err, used = adaptive_gauss_legendre(
-            f, b, a, abs_tol=abs_tol, max_panels=max_panels,
-            breakpoints=breakpoints)
-        return -value, err, used
+    if not a < b:
+        raise DomainError(f"quadrature needs a < b, got [{a!r}, {b!r}]")
 
     cuts = sorted({float(p) for p in breakpoints if a < p < b})
     edges = [a] + cuts + [b]

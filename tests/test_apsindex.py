@@ -15,7 +15,7 @@ import pytest
 import sfcalc
 from sfcalc import apsindex
 from sfcalc.apsindex import (SCHEMES, SuspensionProblem, _block_matrices,
-                             _exp_moments, _kernel_dim, aps_index,
+                             _chain, _exp_moments, _fill, _kernel_dim, aps_index,
                              halfline_aps_apply_inverse, halfline_residual,
                              perturbation_truncation_check)
 from sfcalc.engines import sf_crossing
@@ -36,13 +36,18 @@ def constant_path(value, model=None):
     return OperatorPath(model, samples)
 
 
+def dense_matrices(prob):
+    """The dense matrices of the stencils _block_matrices() yields."""
+    return [_fill(*stencil) for stencil in _block_matrices(prob)]
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
 def test_assemble_zero_path_dimensions_and_kernels():
     # 0 counts as nonnegative, so the condition f(0) = 0 applies at the left
     prob = SuspensionProblem(path=constant_path(0.0), grid_size=32)
-    a, adj = _block_matrices(prob)
+    a, adj = dense_matrices(prob)
     assert a.shape == (32, 32)
     assert adj.shape == (32, 32)
     assert np.linalg.svd(a, compute_uv=False).min() > 1e-3
@@ -51,7 +56,7 @@ def test_assemble_zero_path_dimensions_and_kernels():
 
 def test_assemble_positive_constant_no_kernel():
     prob = SuspensionProblem(path=constant_path(0.9), grid_size=32)
-    a, _ = _block_matrices(prob)
+    a, _ = dense_matrices(prob)
     assert a.shape == (32, 32)
     assert np.linalg.svd(a, compute_uv=False).min() > 1e-3
 
@@ -60,7 +65,7 @@ def test_assemble_single_crossing_kernel_matches_ode_oracle():
     # f' + (2u-1) f = 0 with free boundary values: f = exp(-(u^2-u))
     path = flatten_endpoints(single_crossing_path(), margin=0.15)
     prob = SuspensionProblem(path=path, grid_size=200)
-    a, adj = _block_matrices(prob)
+    a, adj = dense_matrices(prob)
     # one more column than rows: the kernel is the structural rank deficit
     assert a.shape[1] - a.shape[0] == 1
     u_mat, sigma, vt = np.linalg.svd(a)
@@ -132,7 +137,7 @@ def test_assemble_matches_per_node_loop(geometry, scheme):
     path = random_path(rng, model, num_samples=7, endpoint_flat=True)
     prob = SuspensionProblem(path=path, grid_size=24, scheme=scheme,
                              geometry=geometry, cylinder_length=0.5)
-    got_all, expected_all = list(_block_matrices(prob)), _assemble_by_loop(prob)
+    got_all, expected_all = dense_matrices(prob), _assemble_by_loop(prob)
     assert len(got_all) == len(expected_all) == 4
     for got, expected in zip(got_all, expected_all):
         assert got.shape == expected.shape
@@ -276,10 +281,11 @@ def test_block_with_a_kernel_and_a_cokernel(scheme, geometry, length):
     path = kernel_and_cokernel_path()
     prob = SuspensionProblem(path=path, grid_size=64, scheme=scheme,
                              geometry=geometry, cylinder_length=length)
-    a, adj = _block_matrices(prob)
+    stencil_a, stencil_adj = _block_matrices(prob)
+    a, adj = _fill(*stencil_a), _fill(*stencil_adj)
     assert a.shape[0] == a.shape[1] and adj.shape[0] == adj.shape[1]
-    assert _kernel_dim(a, prob.kernel_threshold) == 1
-    assert _kernel_dim(adj, prob.kernel_threshold) == 1
+    assert _kernel_dim(stencil_a, prob.kernel_threshold) == 1
+    assert _kernel_dim(stencil_adj, prob.kernel_threshold) == 1
     assert aps_index(prob) == sf_crossing(path).value == 0.0
 
 
@@ -342,7 +348,7 @@ DTYPE_CASES = {
 def test_block_matrices_are_real_exactly_when_the_block_data_is(case, scheme):
     build, dtypes = DTYPE_CASES[case]
     prob = replace(build(), scheme=scheme)
-    assert [mat.dtype for mat in _block_matrices(prob)] == dtypes
+    assert [mat.dtype for mat in dense_matrices(prob)] == dtypes
 
 
 def _dense_kernel_dim(mat, theta, sigma=None):
@@ -365,16 +371,56 @@ def _count(mat, theta, kernel_dim=_kernel_dim):
         return "ambiguous"
 
 
+def as_complex(stencil):
+    """The stencil with its block values and boundary bases made complex."""
+    dm, h, sign, q_first, q_last = stencil
+    return (dm.astype(complex), h, sign,
+            q_first.astype(complex), q_last.astype(complex))
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_real_matrices_count_as_their_complex_copies(scheme):
-    # the complex copy is bidiagonal too, so both take the Sturm route on
-    # 1-dimensional blocks; the dense reference judges both
+    # the complex copy of a 1-dimensional block is counted by the Sturm
+    # route too; the dense reference judges both
     for prob in real_problems():
         prob, theta = replace(prob, scheme=scheme), prob.kernel_threshold
-        for mat in _block_matrices(prob):
+        for stencil in _block_matrices(prob):
+            mat = _fill(*stencil)
             assert mat.dtype == REAL
-            assert _count(mat, theta) == _count(mat.astype(complex), theta) \
+            assert _count(stencil, theta) == _count(as_complex(stencil), theta) \
                 == _count(mat, theta, _dense_kernel_dim)
+
+
+def _bidiagonal_chain(mat):
+    """Reference: the Golub-Kahan off-diagonal read back from a dense
+    bidiagonal ``mat``, its main diagonal interleaved with the first upper
+    one (or with the first lower one, when that holds the nonzeros)."""
+    nnz = np.count_nonzero(mat)
+    for b in (mat, mat.T):
+        main, upper = np.diagonal(b), np.diagonal(b, 1)
+        if np.count_nonzero(main) + np.count_nonzero(upper) == nnz:
+            chain = np.zeros(sum(mat.shape) - 1)
+            chain[:2 * main.size:2] = np.abs(main)
+            chain[1:2 * upper.size:2] = np.abs(upper)
+            return chain
+    return None
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_chain_is_the_golub_kahan_off_diagonal_of_the_filled_matrix(scheme):
+    # every 1-dimensional block of the real problems, the 25 flat scalar
+    # paths among them, and its complex copy; those paths give boundary
+    # bases of 0 and 1 columns in all four combinations
+    widths = set()
+    for prob in real_problems():
+        for stencil in _block_matrices(replace(prob, scheme=scheme)):
+            if stencil[0].shape[1] != 1:
+                continue
+            widths.add((stencil[3].shape[1], stencil[4].shape[1]))
+            expected = _bidiagonal_chain(_fill(*stencil)).tobytes()
+            assert _chain(*stencil).tobytes() == expected
+            assert _chain(*as_complex(stencil)).tobytes() == expected
+    assert widths == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_kernel_dim_equals_the_dense_reference_over_theta():
@@ -382,16 +428,17 @@ def test_kernel_dim_equals_the_dense_reference_over_theta():
     # problems (the 2-dimensional ones run the reference's own code): each
     # count equals the reference's, or both find the gap ambiguous, where
     # the Sturm route's unequal counts fall back to the dense SVD
-    mats = [mat for prob in real_problems()[:5] for scheme in SCHEMES
-            if all(n == 1 for n, _ in prob.path.model.blocks)
-            for mat in _block_matrices(replace(prob, scheme=scheme))]
-    assert len(mats) == 16
+    stencils = [stencil for prob in real_problems()[:5] for scheme in SCHEMES
+                if all(n == 1 for n, _ in prob.path.model.blocks)
+                for stencil in _block_matrices(replace(prob, scheme=scheme))]
+    assert len(stencils) == 16
+    mats = [_fill(*stencil) for stencil in stencils]
     sigmas = [np.linalg.svd(mat, compute_uv=False) for mat in mats]
     outcomes = set()
     for theta in np.geomspace(1e-9, 0.3, 60):
-        for mat, sigma in zip(mats, sigmas):
+        for stencil, mat, sigma in zip(stencils, mats, sigmas):
             expected = _count(mat, theta, lambda m, t: _dense_kernel_dim(m, t, sigma))
-            assert _count(mat, theta) == expected
+            assert _count(stencil, theta) == expected
             outcomes.add(expected == "ambiguous")
     assert outcomes == {True, False}
 
@@ -408,6 +455,26 @@ def test_one_dimensional_blocks_need_no_svd(monkeypatch):
     assert aps_index(prob) == 1.0
 
 
+def test_one_dimensional_blocks_fill_a_matrix_only_to_decide_a_tie(monkeypatch):
+    # the cylinder at M = 200 fills no dense matrix; at theta = 0.01 the
+    # Sturm counts disagree, and the filled matrix's SVD finds the gap
+    # ambiguous
+    filled, fill = [], _fill
+
+    def counted(*stencil):
+        filled.append(stencil[0].shape)
+        return fill(*stencil)
+
+    monkeypatch.setattr(apsindex, "_fill", counted)
+    prob = SuspensionProblem(path=single_crossing_path(), grid_size=200,
+                             geometry="cylinder")
+    assert aps_index(prob) == 1.0
+    assert filled == []
+    with pytest.raises(NumericError, match="gap ambiguity"):
+        aps_index(single_crossing_cylinder(kernel_threshold=0.01))
+    assert filled and all(shape[1:] == (1, 1) for shape in filled)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("edge", [10.0, 0.1])
 @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
@@ -416,10 +483,11 @@ def test_kernel_dim_at_the_edges_of_the_gap_window(scheme, edge, side):
     # cylinder matrix at edge * cut * side, just inside or just outside the
     # window [cut / 10, 10 cut]: the count is the reference's, ambiguity
     # included, and never a different certified count
-    for mat in _block_matrices(single_crossing_cylinder(scheme=scheme)):
+    for stencil in _block_matrices(single_crossing_cylinder(scheme=scheme)):
+        mat = _fill(*stencil)
         sigma = np.linalg.svd(mat, compute_uv=False)
         theta = sigma[-1] / (edge * side * sigma[0])
-        assert _count(mat, theta) == _count(mat, theta, _dense_kernel_dim)
+        assert _count(stencil, theta) == _count(mat, theta, _dense_kernel_dim)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -428,34 +496,32 @@ def test_zero_stencil_entries_split_the_chain(scheme):
     # are 2M times the identity, their Golub-Kahan chains full of zeros
     m = 64
     prob = SuspensionProblem(path=constant_path(2.0 * m), grid_size=m, scheme=scheme)
-    for mat in _block_matrices(prob):
+    for stencil in _block_matrices(prob):
+        mat = _fill(*stencil)
         assert np.array_equal(mat, 2.0 * m * np.eye(m))
-        assert _kernel_dim(mat, prob.kernel_threshold) == 0 \
+        assert _kernel_dim(stencil, prob.kernel_threshold) == 0 \
             == _dense_kernel_dim(mat, prob.kernel_threshold)
     assert aps_index(prob) == 0.0
 
 
 def test_sturm_count_survives_a_zero_pivot():
     # for [[1, 1]] (sigma = sqrt 2) at theta = 0.05 the upper Sturm shift is
-    # 10 theta * 2 = 1 exactly, where the second pivot -1 - 1 / (-1) is 0
-    mat = np.array([[1.0, 1.0]])
-    assert _kernel_dim(mat, 0.05) == 1 == _dense_kernel_dim(mat, 0.05)
+    # 10 theta * 2 = 1 exactly, where the second pivot -1 - 1 / (-1) is 0;
+    # one interval of width 1 with D = 0 and a flipped first basis gives it
+    stencil = (np.zeros((1, 1, 1)), 1.0, 1.0, -np.eye(1), np.eye(1))
+    mat = _fill(*stencil)
+    assert np.array_equal(mat, [[1.0, 1.0]])
+    assert _kernel_dim(stencil, 0.05) == 1 == _dense_kernel_dim(mat, 0.05)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_real_matrices_hold_the_complex_build_entries(monkeypatch, scheme):
+def test_real_matrices_hold_the_complex_build_entries(scheme):
     # on 1-dimensional and diagonal blocks every product has one nonzero
     # term, so the real build is the complex one's real part, bit for bit
     probs = [replace(prob, scheme=scheme) for prob in real_problems()]
-    real = [mat for prob in probs for mat in _block_matrices(prob)]
-    fill = apsindex._fill
-
-    def complex_fill(dm, h, sign, q_first, q_last):
-        return fill(dm.astype(complex), h, sign,
-                    q_first.astype(complex), q_last.astype(complex))
-
-    monkeypatch.setattr(apsindex, "_fill", complex_fill)
-    built = [mat for prob in probs for mat in _block_matrices(prob)]
+    stencils = [stencil for prob in probs for stencil in _block_matrices(prob)]
+    real = [_fill(*stencil) for stencil in stencils]
+    built = [_fill(*as_complex(stencil)) for stencil in stencils]
     assert len(real) == len(built)
     for mat, ref in zip(real, built):
         assert ref.dtype == COMPLEX and not ref.imag.any()
@@ -467,29 +533,30 @@ def test_real_matrices_still_refuse_an_ambiguous_gap(scheme):
     # at theta = 0.01 singular values of the single-crossing cylinder fall
     # in the window [cut / 10, 10 cut] of both matrices
     prob = single_crossing_cylinder(scheme=scheme, kernel_threshold=0.01)
-    for mat in _block_matrices(prob):
-        assert mat.dtype == REAL
+    for stencil in _block_matrices(prob):
+        assert _fill(*stencil).dtype == REAL
         with pytest.raises(NumericError, match="gap ambiguity"):
-            _kernel_dim(mat, prob.kernel_threshold)
+            _kernel_dim(stencil, prob.kernel_threshold)
     with pytest.raises(NumericError, match="gap ambiguity"):
         aps_index(prob)
 
 
 def test_index_holds_one_block_matrix_at_a_time(monkeypatch):
-    # each matrix is counted and dropped before the next one is counted
-    received = []
+    # each dense matrix is counted and dropped before the next one is filled
+    filled, fill = [], _fill
 
-    def tracked(mat, theta):
+    def tracked(*stencil):
         gc.collect()
-        assert all(ref() is None for ref in received)
-        received.append(weakref.ref(mat))
-        return _kernel_dim(mat, theta)
+        assert all(ref() is None for ref in filled)
+        mat = fill(*stencil)
+        filled.append(weakref.ref(mat))
+        return mat
 
-    monkeypatch.setattr(apsindex, "_kernel_dim", tracked)
+    monkeypatch.setattr(apsindex, "_fill", tracked)
     model = WeightedBlockModel([(2, 1.0), (3, 0.5)])
     path = random_path(rng_from_seed(6700), model, num_samples=7, endpoint_flat=True)
     aps_index(SuspensionProblem(path=path, grid_size=32))
-    assert len(received) == 4
+    assert len(filled) == 4
 
 
 @pytest.mark.parametrize("copies, runs", [(2.5, True), (1.5, False)])
@@ -523,7 +590,7 @@ def _expand_adjoint_null(path, v, grid, dim):
 
 def _adjoint_angle(path, grid, dim):
     prob = SuspensionProblem(path=path, grid_size=grid)
-    a, adj = _block_matrices(prob)
+    a, adj = dense_matrices(prob)
     ua, sa, _ = np.linalg.svd(a)
     left_null = ua[:, -1]              # cokernel of A (interval space)
     assert sa[-1] > 1e-3 * sa[0]       # tall A: cokernel is structural
@@ -733,11 +800,22 @@ APSINDEX_GUARDS = {
     "kernel-threshold": (lambda: SuspensionProblem(path=single_crossing_path(),
                                                    kernel_threshold=0.0),
                          ValidationError, "kernel_threshold must be positive"),
+    **{f"cylinder-length-{length}": (lambda length=length: SuspensionProblem(
+        path=single_crossing_path(), geometry="cylinder", cylinder_length=length),
+        ValidationError, "cylinder_length must be positive")
+       for length in (-1.0, 0.0, math.nan)},
     "halfline-operator": (lambda: halfline_aps_apply_inverse(np.eye(1), np.zeros(9), 1.0, 8),
                           ValidationError, "expects a BlockHermitian"),
     "halfline-rhs-shape": (lambda: halfline_aps_apply_inverse(
         diagonal_operator(_SCALAR, [1.0]), np.zeros(8), 1.0, 8),
         ValidationError, r"rhs shape \(8, 1\) does not match grid \(9, 1\)"),
+    **{f"halfline-length-{length}": (lambda length=length: halfline_aps_apply_inverse(
+        diagonal_operator(_SCALAR, [1.0]), np.zeros(9), length, 8),
+        ValidationError, "needs length > 0 and grid_size >= 1")
+       for length in (-1.0, 0.0, math.nan)},
+    "halfline-grid-size": (lambda: halfline_aps_apply_inverse(
+        diagonal_operator(_SCALAR, [1.0]), np.zeros(1), 1.0, 0),
+        ValidationError, "needs length > 0 and grid_size >= 1"),
     "truncation-operator": (lambda: perturbation_truncation_check(
         np.eye(2), linear_k_path(_TWO, np.eye(2)), 1.0),
         ValidationError, "expects a BlockHermitian"),

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sfcalc.errors import NumericError
+from sfcalc.errors import DomainError, NumericError
 from sfcalc.quadrature import adaptive_gauss_legendre
 
 
@@ -22,10 +22,14 @@ def test_gaussian_matches_erf():
     assert value == pytest.approx(math.sqrt(math.pi) * math.erf(2.0), abs=1e-11)
 
 
-def test_reversed_limits_negate():
-    fwd, _, _ = adaptive_gauss_legendre(lambda x: x, 0.0, 1.0)
-    rev, _, _ = adaptive_gauss_legendre(lambda x: x, 1.0, 0.0)
-    assert rev == -fwd
+def test_limits_not_in_increasing_order_are_refused():
+    # reversed, equal and NaN limits: the integrand is never called
+    def never(x):
+        raise AssertionError("integrand called")
+
+    for a, b in ((1.0, 0.0), (0.5, 0.5), (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="quadrature needs a < b"):
+            adaptive_gauss_legendre(never, a, b)
 
 
 def test_breakpoints_capture_jump():
