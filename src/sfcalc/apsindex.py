@@ -6,8 +6,8 @@ components at the left end and the negative ones at the right end (the
 formal adjoint carries the complementary conditions).  Kernels are detected
 from singular values, per ambient block, and weighted by the block traces.
 Assembly yields stencils, not matrices.  A 1-dimensional block is counted by
-two Sturm sequences on the Golub-Kahan tridiagonal read from its stencil; a
-larger block, and any count left ambiguous, is filled for a dense SVD.
+Sturm sequences on the Golub-Kahan tridiagonal read from its stencil and
+fills no matrix; a larger block is filled for a dense SVD.
 """
 
 import math
@@ -57,6 +57,8 @@ class SuspensionProblem:
             raise ValidationError(f"unknown geometry {self.geometry!r}")
         if not self.kernel_threshold > 0:
             raise ValidationError("kernel_threshold must be positive")
+        if not self.kernel_threshold < 0.1:  # else the window reaches sigma_max
+            raise ValidationError("kernel_threshold must be below 0.1")
         if self.cylinder_length is not None and not self.cylinder_length > 0:
             raise ValidationError("cylinder_length must be positive")
         if self.geometry == "interval-APS" and not self.path.endpoint_flat:
@@ -77,12 +79,12 @@ def physical_memory():
 def _grid(prob, parts):
     """Node parameter values; cylinder nodes run beyond [0, 1].
 
-    A grid whose largest dense matrix would not fit in physical memory is
-    refused before it is built: the index holds two such matrices at once,
-    the one it counts and the SVD's working copy, each at most (K d) x
-    ((K + 1) d) entries for K intervals and block dimension d.  The path is
-    not evaluated yet, so every entry counts 16 bytes, as a complex one: an
-    upper bound for real blocks.
+    A grid whose index would not fit in physical memory is refused before
+    it is built.  A block of dimension d >= 2 is filled: the index holds the
+    matrix it counts and the SVD's copy, each at most (K d) x ((K + 1) d)
+    entries for K intervals and the largest d, at 16 bytes (the path is not
+    evaluated yet; complex bounds real).  1-dimensional blocks fill nothing;
+    tracemalloc puts their peak below 160 (1 + n^2) bytes an interval (n = dim).
     """
     m = prob.grid_size
     steps = 0
@@ -96,15 +98,16 @@ def _grid(prob, parts):
                 f"a cylinder of length {length:g} needs {steps:g} grid intervals "
                 f"on each side at grid size {m}; reduce the cylinder length")
         steps = max(1, math.ceil(steps))
-    d = max(n for n, _ in prob.path.model.blocks)
-    rows, cols = (m + 2 * steps) * d, (m + 2 * steps + 1) * d
-    need = 2 * 16 * rows * cols
+    d, k = max(n for n, _ in prob.path.model.blocks), m + 2 * steps
+    need, size = 2 * 16 * (k * d) * ((k + 1) * d), f"dense {k * d} x {(k + 1) * d} matrices"
+    if d == 1:
+        need, size = 160 * (1 + prob.path.model.dim ** 2) * k, f"{k} grid intervals"
     memory = physical_memory()
     if need > memory:
         raise PreconditionError(
-            f"the index needs dense {rows} x {cols} matrices, at most "
-            f"{need / 2 ** 30:.1f} GiB against {memory / 2 ** 30:.1f} GiB of "
-            "physical memory; reduce the grid size or the cylinder length")
+            f"the index needs {size}, at most {need / 2 ** 30:.1f} GiB "
+            f"against {memory / 2 ** 30:.1f} GiB of physical memory; reduce "
+            "the grid size or the cylinder length")
     if steps == 0:
         return np.linspace(0.0, 1.0, m + 1)
     return np.arange(-steps, m + steps + 1) / m
@@ -215,31 +218,42 @@ def _kernel_dim(stencil, theta):
     blocks are never empty and their difference stencils make sigma_max
     positive.
 
-    A 1-dimensional block is first decided without a matrix, from its
+    A 1-dimensional block is decided without a matrix, from its
     :func:`_chain`.  The largest row 2-norm of the Golub-Kahan tridiagonal T
     is a lower bound lo <= sigma_max, Gershgorin's bound an upper one hi,
     and Sturm counts on T give the singular values below theta lo / 10 and
     below 10 theta hi, to high relative accuracy (Demmel and Kahan, SIAM J.
     Sci. Stat. Comput. 11, 1990).  Equal counts leave no singular value in a
     window that contains the dense one, so the kernel follows with the dense
-    decision.  Unequal counts, an all-zero chain and blocks of dimension 2
-    or more (an unpivoted block LDL* has no such accuracy guarantee) fill
-    the dense matrix with :func:`_fill` for an SVD, which decides or
-    raises; the matrix is dropped when the call returns.
+    decision.  Unequal counts bisect [lo, hi] by the same counts (sigma_max
+    < x exactly when all of T's eigenvalues are) until the edge counts agree,
+    or raise once the bracket has shrunk to rounding.  A block of dimension
+    2 or more (an unpivoted block LDL* has no such accuracy guarantee) is
+    filled with :func:`_fill` for an SVD, which decides or raises; the
+    matrix is dropped when the call returns.
     """
     if stencil[0].shape[1] == 1:
         chain = _chain(*stencil)
-        if chain.any():
-            chain /= chain.max()  # the thresholds are relative; no square overflows
-            ends = np.concatenate([[0.0], chain, [0.0]])
-            lo = float(np.hypot(ends[:-1], ends[1:]).max())
-            hi = float((ends[:-1] + ends[1:]).max())
-            chain_sq = (chain * chain).tolist()
-            below = _count_below(chain_sq, theta * lo / 10.0)
-            if below == _count_below(chain_sq, 10.0 * theta * hi):
-                # T has max(rows, cols) eigenvalues <= 0, so the kernel
-                # cols - min(rows, cols) + #{sigma < x} is below - rows
-                return below - stencil[0].shape[0]
+        chain /= (scale := float(chain.max()))  # relative thresholds; no square overflows
+        ends = np.concatenate([[0.0], chain, [0.0]])
+        lo = float(np.hypot(ends[:-1], ends[1:]).max())
+        hi = float((ends[:-1] + ends[1:]).max())
+        chain_sq = (chain * chain).tolist()
+        below = _count_below(chain_sq, theta * lo / 10.0)
+        above = _count_below(chain_sq, 10.0 * theta * hi)
+        while below != above:
+            if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+                raise NumericError(f"singular-value gap ambiguity: {above - below} values "
+                                   f"near the threshold {theta * hi * scale:.3e}; "
+                                   "refine the grid", partial=(lo * scale, hi * scale))
+            mid = 0.5 * (lo + hi)
+            if _count_below(chain_sq, mid) == len(chain_sq) + 1:
+                hi, above = mid, _count_below(chain_sq, 10.0 * theta * mid)
+            else:
+                lo, below = mid, _count_below(chain_sq, theta * mid / 10.0)
+        # T has max(rows, cols) eigenvalues <= 0, so the kernel
+        # cols - min(rows, cols) + #{sigma < x} is below - rows
+        return below - stencil[0].shape[0]
     mat = _fill(*stencil)
     sigma = np.linalg.svd(mat, compute_uv=False)
     cut = theta * float(sigma[0])

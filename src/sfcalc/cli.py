@@ -94,6 +94,7 @@ _NUMBER = _rule("a finite number", _is_number)
 _POSITIVE = _rule("a positive number", lambda v: _is_number(v) and v > 0)
 _NONNEGATIVE = _rule("a number >= 0", lambda v: _is_number(v) and v >= 0)
 _BOOLEAN = _rule("true or false", lambda v: isinstance(v, bool))
+_THRESHOLD = _rule("a positive number below 0.1", lambda v: _POSITIVE(v) and v < 0.1)
 
 # Every optional scenario field as (value a run uses when it is absent, rule);
 # a nested dict is a section of the document.  path.params takes its fields
@@ -114,7 +115,7 @@ FIELDS = {
     "aps": {"enabled": (False, _BOOLEAN), "M": (200, _integer(16)),
             "scheme": ("forward-upwind", _one_of(SCHEMES)),
             "geometry": ("interval-APS", _one_of(GEOMETRIES)),
-            "L": (None, _optional(_POSITIVE)), "theta": (1e-7, _POSITIVE)},
+            "L": (None, _optional(_POSITIVE)), "theta": (1e-7, _THRESHOLD)},
     "assertions": {"pairwise_agreement": (None, _optional(_NONNEGATIVE)),
                    "expected_value": (None, _optional(_NUMBER)),
                    "value_tolerance": (1e-9, _NONNEGATIVE),

@@ -161,8 +161,9 @@ def _finalize(raw, method, model, diagnostics):
 # ---------------------------------------------------------------------------
 # shared helpers
 
-# (path, entry) of the most recent block path: its endpoint decompositions
-# under "ends" and, per node array keyed by its bytes, each block's
+# (path, entry) of the most recent block path: its endpoint_parts under
+# "parts", as F_0's and F_1's SpectralDecompositions under "ends" and, per
+# node array keyed by its bytes, each block's
 # (w_b, eigenvalues, Re diag(V* F' V)).  One path only: callers run the
 # engines one s and one chi at a time on a path before the next, so one
 # path is all they reuse.  Replacing the pair whole keeps calls on two
@@ -174,7 +175,9 @@ def _path_memo(path):
     global _memo
     held = _memo
     if held[0] is not path:
-        held = _memo = (path, {"ends": (eigh(path.eval(0.0)), eigh(path.eval(1.0)))})
+        parts = endpoint_parts(path)
+        held = _memo = (path, {"parts": parts, "ends": tuple(
+            SpectralDecomposition.of_stack(path.model, parts, i) for i in (0, 1))})
     return held[1]
 
 
@@ -216,7 +219,7 @@ def sf_crossing(path):
     """
     if path.is_frequency:
         raise ModelError("sf_crossing is defined on weighted block models")
-    parts = endpoint_parts(path)
+    parts = _path_memo(path)["parts"]
     raw = path.model.weighted_sum(
         np.count_nonzero(mask[1]) - np.count_nonzero(mask[0])
         for mask in nonneg_masks(parts))

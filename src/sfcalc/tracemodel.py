@@ -278,6 +278,23 @@ class SpectralDecomposition:
         """
         return self.eigenvalues >= -zero_tolerance(self.op_norm)
 
+    @classmethod
+    def of_stack(cls, model, parts, i):
+        """Matrix ``i`` of an :func:`eigh_stack` result, eigenvalues sorted across blocks."""
+        all_vecs = np.zeros((model.dim, model.dim), dtype=complex)
+        for sl, (_, vecs) in zip(model.block_slices, parts):
+            all_vecs[sl, sl] = vecs[i]
+        all_vals = np.concatenate([vals[i] for vals, _ in parts])
+        dims = [nb for nb, _ in model.blocks]
+        order = np.argsort(all_vals, kind="stable")
+        return cls(
+            model=model,
+            eigenvalues=all_vals[order],
+            eigenvectors=all_vecs[:, order],
+            weights=np.repeat([w for _, w in model.blocks], dims)[order],
+            block_index=np.repeat(np.arange(len(dims)), dims)[order],
+        )
+
 
 def eigh_stack(model, mats):
     """Blockwise LAPACK eigendecomposition of a stack of Hermitian
@@ -340,22 +357,7 @@ def eigh(op):
     """
     if not isinstance(op, BlockHermitian):
         raise ValidationError("eigh expects a BlockHermitian")
-    model = op.model
-    n = model.dim
-    parts = eigh_stack(model, op.mat[None])
-    all_vecs = np.zeros((n, n), dtype=complex)
-    for sl, (_, vecs) in zip(model.block_slices, parts):
-        all_vecs[sl, sl] = vecs[0]
-    all_vals = np.concatenate([vals[0] for vals, _ in parts])
-    dims = [nb for nb, _ in model.blocks]
-    order = np.argsort(all_vals, kind="stable")
-    return SpectralDecomposition(
-        model=model,
-        eigenvalues=all_vals[order],
-        eigenvectors=all_vecs[:, order],
-        weights=np.repeat([w for _, w in model.blocks], dims)[order],
-        block_index=np.repeat(np.arange(len(dims)), dims)[order],
-    )
+    return SpectralDecomposition.of_stack(op.model, eigh_stack(op.model, op.mat[None]), 0)
 
 
 def spectral_projection(dec, interval):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -295,8 +296,8 @@ def test_block_with_a_kernel_and_a_cokernel(scheme, geometry, length):
 REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
 
 
-def single_crossing_cylinder(**kw):
-    return SuspensionProblem(path=single_crossing_path(), grid_size=64,
+def single_crossing_cylinder(grid_size=64, **kw):
+    return SuspensionProblem(path=single_crossing_path(), grid_size=grid_size,
                              geometry="cylinder", **kw)
 
 
@@ -423,29 +424,61 @@ def test_chain_is_the_golub_kahan_off_diagonal_of_the_filled_matrix(scheme):
     assert widths == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-def test_kernel_dim_equals_the_dense_reference_over_theta():
+@pytest.fixture
+def no_one_dimensional_fill(monkeypatch):
+    """Make the library's _fill raise on a 1-dimensional stencil; the tests'
+    own ``_fill`` stays the reference."""
+    def refuse(*stencil):
+        assert stencil[0].shape[1] > 1, "dense fill of a 1-dimensional block"
+        return _fill(*stencil)
+
+    monkeypatch.setattr(apsindex, "_fill", refuse)
+
+
+THETAS = np.geomspace(1e-9, 0.3, 60)
+
+
+def _sweep(stencils):
+    """Route count and dense reference over THETAS for each stencil; the
+    set of reference outcomes seen (True for ambiguous)."""
+    outcomes = set()
+    for stencil in stencils:
+        mat = _fill(*stencil)
+        sigma = np.linalg.svd(mat, compute_uv=False)
+        for theta in THETAS:
+            expected = _count(mat, theta, lambda m, t: _dense_kernel_dim(m, t, sigma))
+            assert _count(stencil, theta) == expected
+            outcomes.add(expected == "ambiguous")
+    return outcomes
+
+
+def test_kernel_dim_equals_the_dense_reference_over_theta(no_one_dimensional_fill):
     # 60 thresholds over the 1-dimensional blocks of the first five real
     # problems (the 2-dimensional ones run the reference's own code): each
-    # count equals the reference's, or both find the gap ambiguous, where
-    # the Sturm route's unequal counts fall back to the dense SVD
+    # count equals the reference's, or both find the gap ambiguous, and no
+    # matrix is filled
     stencils = [stencil for prob in real_problems()[:5] for scheme in SCHEMES
                 if all(n == 1 for n, _ in prob.path.model.blocks)
                 for stencil in _block_matrices(replace(prob, scheme=scheme))]
     assert len(stencils) == 16
-    mats = [_fill(*stencil) for stencil in stencils]
-    sigmas = [np.linalg.svd(mat, compute_uv=False) for mat in mats]
-    outcomes = set()
-    for theta in np.geomspace(1e-9, 0.3, 60):
-        for stencil, mat, sigma in zip(stencils, mats, sigmas):
-            expected = _count(mat, theta, lambda m, t: _dense_kernel_dim(m, t, sigma))
-            assert _count(stencil, theta) == expected
-            outcomes.add(expected == "ambiguous")
-    assert outcomes == {True, False}
+    assert _sweep(stencils) == {True, False}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("grid_size, length", [(32, 16.0), (16, None)])
+def test_kernel_dim_on_a_long_cylinder_and_a_coarse_grid(
+        no_one_dimensional_fill, scheme, grid_size, length):
+    # the single-crossing cylinder (endpoint gap 1) at L = 16 / gap, 1056
+    # intervals at M = 32, and at M = 16 with the default L = 4 / gap
+    prob = SuspensionProblem(path=single_crossing_path(), grid_size=grid_size,
+                             geometry="cylinder", cylinder_length=length,
+                             scheme=scheme)
+    assert _sweep(_block_matrices(prob)) == {True, False}
 
 
 def test_one_dimensional_blocks_need_no_svd(monkeypatch):
     # the cylinder's two 1800 x 1801 and 1800 x 1799 bidiagonal matrices are
-    # counted by Sturm sequences alone
+    # counted by Sturm sequences alone, and so is a tie at theta = 0.01
     def no_svd(*args, **kwargs):
         raise AssertionError("dense SVD on a 1-dimensional block")
 
@@ -453,26 +486,66 @@ def test_one_dimensional_blocks_need_no_svd(monkeypatch):
     prob = SuspensionProblem(path=single_crossing_path(), grid_size=200,
                              geometry="cylinder")
     assert aps_index(prob) == 1.0
+    with pytest.raises(NumericError, match="gap ambiguity"):
+        aps_index(replace(prob, kernel_threshold=0.01))
 
 
-def test_one_dimensional_blocks_fill_a_matrix_only_to_decide_a_tie(monkeypatch):
-    # the cylinder at M = 200 fills no dense matrix; at theta = 0.01 the
-    # Sturm counts disagree, and the filled matrix's SVD finds the gap
-    # ambiguous
-    filled, fill = [], _fill
-
-    def counted(*stencil):
-        filled.append(stencil[0].shape)
-        return fill(*stencil)
-
-    monkeypatch.setattr(apsindex, "_fill", counted)
+def test_one_dimensional_blocks_never_fill_a_matrix(no_one_dimensional_fill):
+    # a count at the default threshold, and a tie at theta = 0.01 that the
+    # same Sturm counts find ambiguous: the bracket of sigma_max has shrunk
+    # to rounding and still holds singular values in its window
     prob = SuspensionProblem(path=single_crossing_path(), grid_size=200,
                              geometry="cylinder")
     assert aps_index(prob) == 1.0
-    assert filled == []
-    with pytest.raises(NumericError, match="gap ambiguity"):
+    with pytest.raises(NumericError, match=r"gap ambiguity: \d+ values near "
+                       r"the threshold") as info:
         aps_index(single_crossing_cylinder(kernel_threshold=0.01))
-    assert filled and all(shape[1:] == (1, 1) for shape in filled)
+    lo, hi = info.value.partial
+    assert 0 < hi - lo <= 4 * np.finfo(float).eps * hi
+
+
+def _bracket(stencil):
+    """The first bracket lo <= sigma_max <= hi of a 1-dimensional stencil:
+    the largest row 2-norm and Gershgorin's bound of its Golub-Kahan
+    tridiagonal."""
+    ends = np.concatenate([[0.0], _chain(*stencil), [0.0]])
+    return np.hypot(ends[:-1], ends[1:]).max(), (ends[:-1] + ends[1:]).max()
+
+
+def dip_path():
+    # D = 1 at the ends and -20 on [0.3, 0.7]: solutions of f' + D f = 0
+    # grow by about e^10 across the dip, so both cylinder matrices have one
+    # singular value near 1.4e-8 sigma_max, the next at 2.3e-2 sigma_max
+    model = WeightedBlockModel([(1, 1.0)])
+    return OperatorPath(model, [(u, BlockHermitian(model, [[value]])) for u, value
+                                in [(0.0, 1.0), (0.3, -20.0), (0.7, -20.0), (1.0, 1.0)]])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("edge", ["lower", "upper"])
+def test_a_tie_in_the_first_bracket_is_decided_by_bisection(monkeypatch, scheme, edge):
+    # theta puts one singular value inside the first window
+    # [theta lo / 10, 10 theta hi] but outside the dense one [cut / 10,
+    # 10 cut]: the first two counts disagree, the bisection resolves the
+    # tie, and the count is the dense one, not an ambiguity
+    calls, count_below = [], apsindex._count_below
+    monkeypatch.setattr(apsindex, "_count_below",
+                        lambda *args: calls.append(args[1]) or count_below(*args))
+    prob = SuspensionProblem(path=dip_path(), grid_size=64, scheme=scheme,
+                             geometry="cylinder", cylinder_length=1.0)
+    for stencil in _block_matrices(prob):
+        mat = _fill(*stencil)
+        sigma = np.linalg.svd(mat, compute_uv=False)
+        lo, hi = _bracket(stencil)
+        if edge == "lower":  # sigma_min between theta lo / 10 and cut / 10
+            theta = 10.0 * sigma[-1] * math.sqrt(sigma[0] / lo) / sigma[0]
+            assert theta * lo / 10.0 < sigma[-1] < theta * sigma[0] / 10.0
+        else:  # the next one between 10 cut and 10 theta hi
+            theta = sigma[-2] / (10.0 * math.sqrt(sigma[0] * hi))
+            assert 10.0 * theta * sigma[0] < sigma[-2] < 10.0 * theta * hi
+        calls.clear()
+        assert _kernel_dim(stencil, theta) == 1 == _dense_kernel_dim(mat, theta, sigma)
+        assert len(calls) > 2
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -561,15 +634,71 @@ def test_index_holds_one_block_matrix_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("copies, runs", [(2.5, True), (1.5, False)])
 def test_memory_guard_counts_one_matrix_and_the_svd_copy(monkeypatch, copies, runs):
-    # a 1-dimensional block at M = 32 gives 32 x 33 real matrices; the
-    # guard runs before the path is evaluated and counts 16 bytes an entry
-    monkeypatch.setattr(apsindex, "physical_memory", lambda: copies * 16 * 32 * 33)
-    prob = SuspensionProblem(path=constant_path(0.9), grid_size=32)
+    # a 2-dimensional block at M = 32 gives matrices of at most 64 x 66
+    # entries; the guard runs before the path is evaluated and counts 16
+    # bytes an entry
+    monkeypatch.setattr(apsindex, "physical_memory", lambda: copies * 16 * 64 * 66)
+    prob = SuspensionProblem(path=constant_path(0.9, WeightedBlockModel([(2, 1.0)])),
+                             grid_size=32)
     if runs:
         assert aps_index(prob) == 0.0
     else:
-        with pytest.raises(PreconditionError, match="dense 32 x 33 matrices, .* GiB"):
+        with pytest.raises(PreconditionError, match="dense 64 x 66 matrices, .* GiB"):
             aps_index(prob)
+
+
+def chain_bytes(prob):
+    """What the memory guard counts for a problem of 1-dimensional blocks:
+    160 bytes an interval, and 160 more for each operator entry."""
+    intervals = len(apsindex._grid(prob, apsindex.endpoint_parts(prob.path))) - 1
+    return 160 * (1 + prob.path.model.dim ** 2) * intervals
+
+
+@pytest.mark.parametrize("spare, runs", [(0, True), (-1, False)])
+def test_memory_guard_counts_the_chain_route_of_one_dimensional_blocks(
+        monkeypatch, spare, runs):
+    # the cylinder at M = 64 has 576 intervals and fills no matrix
+    prob = single_crossing_cylinder()
+    need = chain_bytes(prob)
+    assert need == 160 * 2 * 576
+    monkeypatch.setattr(apsindex, "physical_memory", lambda: need + spare)
+    if runs:
+        assert aps_index(prob) == 1.0
+    else:
+        with pytest.raises(PreconditionError,
+                           match="needs 576 grid intervals, at most .* GiB"):
+            aps_index(prob)
+
+
+def test_a_long_one_dimensional_grid_fits_in_one_gib(monkeypatch):
+    # 27000 intervals: dense matrices would need 21.7 GiB, the chains 8.6 MB
+    monkeypatch.setattr(apsindex, "physical_memory", lambda: 2.0 ** 30)
+    assert aps_index(single_crossing_cylinder(grid_size=3000)) == 1.0
+
+
+def cubic_blocks_path():
+    model = WeightedBlockModel([(1, 1.0), (1, 0.5)])
+    samples = [(u, BlockHermitian(model, np.diag([2 * u - 1, np.cos(3 * u)])))
+               for u in np.linspace(0.0, 1.0, 7)]
+    return flatten_endpoints(OperatorPath(model, samples, interpolation="cubic"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: single_crossing_cylinder(grid_size=3000),
+    lambda: SuspensionProblem(path=cubic_blocks_path(), grid_size=4000)],
+    ids=["single-crossing-cylinder", "cubic-two-blocks"])
+def test_one_dimensional_index_stays_within_its_counted_bytes(build):
+    # measured peaks: about 155 of the 320 bytes an interval counted for
+    # the cylinder, 590 of the 800 for the cubic path
+    prob = build()
+    need = chain_bytes(prob)
+    tracemalloc.start()
+    try:
+        aps_index(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need / 4 < peak < need
 
 
 def _expand_adjoint_null(path, v, grid, dim):
@@ -800,6 +929,14 @@ APSINDEX_GUARDS = {
     "kernel-threshold": (lambda: SuspensionProblem(path=single_crossing_path(),
                                                    kernel_threshold=0.0),
                          ValidationError, "kernel_threshold must be positive"),
+    **{f"kernel-threshold-{theta}": (lambda theta=theta: SuspensionProblem(
+        path=single_crossing_path(), kernel_threshold=theta),
+        ValidationError, "kernel_threshold must be positive")
+       for theta in (-1.0, math.nan)},
+    **{f"kernel-threshold-{theta}": (lambda theta=theta: SuspensionProblem(
+        path=single_crossing_path(), kernel_threshold=theta),
+        ValidationError, r"kernel_threshold must be below 0\.1")
+       for theta in (0.1, 5.0, 1e300, math.inf)},
     **{f"cylinder-length-{length}": (lambda length=length: SuspensionProblem(
         path=single_crossing_path(), geometry="cylinder", cylinder_length=length),
         ValidationError, "cylinder_length must be positive")

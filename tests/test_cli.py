@@ -343,12 +343,13 @@ def test_index_matches_flow_on_non_dyadic_weights(tmp_path, blocks, minus_dims,
 
 
 def test_oversized_index_refused_up_front(tmp_path, capsys):
-    # the default cylinder length 4 / 0.001 puts 1.6M intervals on the grid
+    # the default cylinder length 4 / 0.001 puts 1.6M intervals on the grid,
+    # and the 2-dimensional block is filled densely
     doc = {"schema": 1, "name": "oversized",
-           "model": {"type": "weighted_blocks", "blocks": [[1, 1.0]]},
+           "model": {"type": "weighted_blocks", "blocks": [[2, 1.0]]},
            "path": {"type": "explicit",
-                    "samples": [{"u": 0.0, "matrix": [[-0.001]]},
-                                {"u": 1.0, "matrix": [[1.0]]}]},
+                    "samples": [{"u": 0.0, "matrix": [[-0.001, 0.0], [0.0, 1.0]]},
+                                {"u": 1.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]},
            "engines": [],
            "aps": {"enabled": True, "M": 200, "geometry": "cylinder"}}
     scen = tmp_path / "oversized.json"
@@ -359,7 +360,7 @@ def test_oversized_index_refused_up_front(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
-    assert "1600200 x 1600201" in err and "GiB" in err
+    assert "3200400 x 3200402" in err and "GiB" in err
     assert elapsed < 1.0
 
 
@@ -423,6 +424,7 @@ def _explicit_path(entry):
     ("random_agreement", "engine_params.window", True),
     ("random_agreement", "engine_params.s_grid", [True]),
     ("random_agreement", "aps.theta", True),
+    ("single_crossing", "aps.theta", 0.1),
     ("random_agreement", "aps.enabled", "false"),
     ("zsign_dirac", "assertions.aps_matches_crossing", "false"),
     ("involution_norm", "path.params.flatten", "no"),
@@ -444,7 +446,7 @@ def _explicit_path(entry):
         "csv-and-log-same-file", "log-name-nul", "samples-beyond-memory",
         "block-beyond-memory", "metric-negative-n", "metric-beyond-memory",
         "value-tolerance-null", "schema-true", "expected-value-true",
-        "window-true", "s-grid-true", "theta-true", "aps-enabled-string",
+        "window-true", "s-grid-true", "theta-true", "theta-0.1", "aps-enabled-string",
         "aps-matches-crossing-string", "flatten-string", "block-entries-true",
         "xi-max-zero", "rho-negative", "generator-path-quadratic",
         "single-crossing-half-weight", "single-crossing-two-blocks",

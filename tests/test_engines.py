@@ -364,6 +364,28 @@ def test_memo_holds_only_the_latest_path():
     assert engines._memo[0] is second
 
 
+def test_one_engine_run_decomposes_each_endpoint_once(monkeypatch):
+    # crossing, Phillips, the three heat integrals and both appendix
+    # profiles on one path share one endpoint_parts decomposition of F_0
+    # and F_1 (Phillips and the integrands decompose their own node stacks)
+    from sfcalc import tracemodel
+
+    rng = rng_from_seed(8400)
+    path = random_path(rng, random_block_model(rng), num_samples=7)
+    decomposed, eigh_stack = [], tracemodel.eigh_stack
+
+    def counted(model, mats):
+        decomposed.append(len(mats))
+        return eigh_stack(model, mats)
+
+    monkeypatch.setattr(tracemodel, "eigh_stack", counted)
+    sf_crossing(path)
+    sf_phillips(path)
+    for call in _integral_calls(path):
+        call()
+    assert decomposed == [2]
+
+
 def test_appendix_rescale_matches_rescaled_samples():
     rng = rng_from_seed(8400)
     for interpolation in ("linear", "cubic"):
