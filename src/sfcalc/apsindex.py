@@ -4,10 +4,11 @@ The operator acts on grid functions over the path parameter; boundary
 conditions of Atiyah-Patodi-Singer type remove the nonnegative spectral
 components at the left end and the negative ones at the right end (the
 formal adjoint carries the complementary conditions).  Kernels are detected
-from singular values, per ambient block, and weighted by the block traces.
-Assembly yields stencils, not matrices.  A 1-dimensional block is counted by
-Sturm sequences on the Golub-Kahan tridiagonal read from its stencil and
-fills no matrix; a larger block is filled for a dense SVD.
+from singular values, per ambient block, by one rule, and weighted by the
+block traces.  Assembly yields stencils, not matrices; a route gives each a
+bracket on sigma_max and a kernel count at any cut: Sturm sequences on the
+Golub-Kahan tridiagonal of a 1-dimensional block, which fills no matrix, or
+a dense SVD of a larger one.
 """
 
 import math
@@ -49,8 +50,8 @@ class SuspensionProblem:
     def __post_init__(self):
         if not isinstance(self.path.model, WeightedBlockModel):
             raise ValidationError("suspension problems need a weighted block model")
-        if self.grid_size < 16:
-            raise ValidationError("grid_size must be at least 16")
+        if not isinstance(self.grid_size, (int, np.integer)) or self.grid_size < 16:
+            raise ValidationError("grid_size must be an integer >= 16")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.geometry not in GEOMETRIES:
@@ -80,11 +81,12 @@ def _grid(prob, parts):
     """Node parameter values; cylinder nodes run beyond [0, 1].
 
     A grid whose index would not fit in physical memory is refused before
-    it is built.  A block of dimension d >= 2 is filled: the index holds the
-    matrix it counts and the SVD's copy, each at most (K d) x ((K + 1) d)
-    entries for K intervals and the largest d, at 16 bytes (the path is not
-    evaluated yet; complex bounds real).  1-dimensional blocks fill nothing;
-    tracemalloc puts their peak below 160 (1 + n^2) bytes an interval (n = dim).
+    it is built.  The largest need counts: 160 (1 + n^2) bytes an interval
+    (n = dim), above tracemalloc's peak for 1-dimensional blocks, which fill
+    nothing; and per block of dimension d >= 2 the matrix the index fills
+    and the SVD's copy, each (K d) x ((K + 1) d) entries at most for K
+    intervals, at 8 bytes where the block's samples and endpoint bases are
+    real (a float64 build) and 16 otherwise.
     """
     m = prob.grid_size
     steps = 0
@@ -98,10 +100,12 @@ def _grid(prob, parts):
                 f"a cylinder of length {length:g} needs {steps:g} grid intervals "
                 f"on each side at grid size {m}; reduce the cylinder length")
         steps = max(1, math.ceil(steps))
-    d, k = max(n for n, _ in prob.path.model.blocks), m + 2 * steps
-    need, size = 2 * 16 * (k * d) * ((k + 1) * d), f"dense {k * d} x {(k + 1) * d} matrices"
-    if d == 1:
-        need, size = 160 * (1 + prob.path.model.dim ** 2) * k, f"{k} grid intervals"
+    model, k = prob.path.model, m + 2 * steps
+    need, size = 160 * (1 + model.dim ** 2) * k, f"{k} grid intervals"
+    for (d, _), sl, (_, v) in zip(model.blocks, model.block_slices, parts):
+        entry = 16 if np.any(prob.path._stack[:, sl, sl].imag) or np.any(v.imag) else 8
+        if d > 1 and (block := 2 * entry * (k * d) * ((k + 1) * d)) > need:
+            need, size = block, f"dense {k * d} x {(k + 1) * d} matrices"
     memory = physical_memory()
     if need > memory:
         raise PreconditionError(
@@ -214,56 +218,50 @@ def _kernel_dim(stencil, theta):
     """Kernel dimension of a stencil's matrix, with a gap check.
 
     Singular values below cut = theta * sigma_max count as kernel; one in
-    the window [cut / 10, 10 cut] raises :class:`NumericError`.  Assembled
-    blocks are never empty and their difference stencils make sigma_max
-    positive.
+    [cut / 10, 10 cut) raises :class:`NumericError` (assembled blocks are
+    never empty, and their difference stencils make sigma_max positive).  A
+    route gives a bracket lo <= sigma_max <= hi and kernel(x), the kernel
+    dimension if the cut were x.  Equal counts at theta lo / 10 and 10 theta
+    hi leave no singular value in a window that contains the dense one: the
+    kernel is the dense decision.  Unequal ones bisect [lo, hi] (sigma_max <
+    x exactly when kernel(x) is every column) until the edge counts agree,
+    or raise, with the bracket as partial, once it has shrunk to rounding.
 
-    A 1-dimensional block is decided without a matrix, from its
-    :func:`_chain`.  The largest row 2-norm of the Golub-Kahan tridiagonal T
-    is a lower bound lo <= sigma_max, Gershgorin's bound an upper one hi,
-    and Sturm counts on T give the singular values below theta lo / 10 and
-    below 10 theta hi, to high relative accuracy (Demmel and Kahan, SIAM J.
-    Sci. Stat. Comput. 11, 1990).  Equal counts leave no singular value in a
-    window that contains the dense one, so the kernel follows with the dense
-    decision.  Unequal counts bisect [lo, hi] by the same counts (sigma_max
-    < x exactly when all of T's eigenvalues are) until the edge counts agree,
-    or raise once the bracket has shrunk to rounding.  A block of dimension
-    2 or more (an unpivoted block LDL* has no such accuracy guarantee) is
-    filled with :func:`_fill` for an SVD, which decides or raises; the
-    matrix is dropped when the call returns.
+    A 1-dimensional block fills no matrix: lo is the largest row 2-norm of
+    the Golub-Kahan tridiagonal T of its :func:`_chain`, hi Gershgorin's
+    bound, and kernel(x) a Sturm count on T, to high relative accuracy
+    (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 1990).  A larger block
+    (an unpivoted block LDL* has no such guarantee) is filled for an SVD:
+    lo = hi = sigma_max, and the matrix is dropped when the SVD returns.
     """
-    if stencil[0].shape[1] == 1:
+    k, d, _ = stencil[0].shape
+    rows, cols = k * d, stencil[3].shape[1] + (k - 1) * d + stencil[4].shape[1]
+    if d == 1:
         chain = _chain(*stencil)
         chain /= (scale := float(chain.max()))  # relative thresholds; no square overflows
         ends = np.concatenate([[0.0], chain, [0.0]])
         lo = float(np.hypot(ends[:-1], ends[1:]).max())
         hi = float((ends[:-1] + ends[1:]).max())
         chain_sq = (chain * chain).tolist()
-        below = _count_below(chain_sq, theta * lo / 10.0)
-        above = _count_below(chain_sq, 10.0 * theta * hi)
-        while below != above:
-            if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-                raise NumericError(f"singular-value gap ambiguity: {above - below} values "
-                                   f"near the threshold {theta * hi * scale:.3e}; "
-                                   "refine the grid", partial=(lo * scale, hi * scale))
-            mid = 0.5 * (lo + hi)
-            if _count_below(chain_sq, mid) == len(chain_sq) + 1:
-                hi, above = mid, _count_below(chain_sq, 10.0 * theta * mid)
-            else:
-                lo, below = mid, _count_below(chain_sq, theta * mid / 10.0)
         # T has max(rows, cols) eigenvalues <= 0, so the kernel
-        # cols - min(rows, cols) + #{sigma < x} is below - rows
-        return below - stencil[0].shape[0]
-    mat = _fill(*stencil)
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    cut = theta * float(sigma[0])
-    in_window = (sigma >= cut / 10.0) & (sigma <= cut * 10.0)
-    if np.any(in_window):
-        raise NumericError(
-            "singular-value gap ambiguity: values "
-            f"{sigma[in_window][:4]} near the threshold {cut:.3e}; "
-            "refine the grid", partial=sigma)
-    return mat.shape[1] - int(np.sum(sigma >= cut))
+        # cols - min(rows, cols) + #{sigma < x} is the count below x - rows
+        kernel = lambda x: _count_below(chain_sq, x) - rows
+    else:
+        sigma = np.linalg.svd(_fill(*stencil), compute_uv=False)
+        lo = hi = float(sigma[0])
+        scale, kernel = 1.0, lambda x: cols - int(np.sum(sigma >= x))
+    below, above = kernel(theta * lo / 10.0), kernel(10.0 * theta * hi)
+    while below != above:
+        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            raise NumericError(f"singular-value gap ambiguity: {above - below} values "
+                               f"near the threshold {theta * hi * scale:.3e}; "
+                               "refine the grid", partial=(lo * scale, hi * scale))
+        mid = 0.5 * (lo + hi)
+        if kernel(mid) == cols:
+            hi, above = mid, kernel(10.0 * theta * mid)
+        else:
+            lo, below = mid, kernel(theta * mid / 10.0)
+    return below
 
 
 def aps_index(prob):
@@ -364,6 +362,8 @@ def perturbation_truncation_check(d, k_path, r_start):
 
     if not isinstance(d, BlockHermitian):
         raise ValidationError("perturbation check expects a BlockHermitian")
+    if not 0 < r_start < math.inf:
+        raise ValidationError("r_start must be positive and finite")
     model = d.model
     dec = eigh(d)
     if np.min(np.abs(dec.eigenvalues)) <= smin_floor:

@@ -1,6 +1,7 @@
 """Suspension-operator assembly, index, half-line inverse, truncation sweep."""
 
 import gc
+import json
 import math
 import os
 import subprocess
@@ -501,6 +502,7 @@ def test_one_dimensional_blocks_never_fill_a_matrix(no_one_dimensional_fill):
                        r"the threshold") as info:
         aps_index(single_crossing_cylinder(kernel_threshold=0.01))
     lo, hi = info.value.partial
+    assert json.loads(json.dumps(info.value.partial)) == [lo, hi]  # a report can write it
     assert 0 < hi - lo <= 4 * np.finfo(float).eps * hi
 
 
@@ -614,6 +616,28 @@ def test_real_matrices_still_refuse_an_ambiguous_gap(scheme):
         aps_index(prob)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_two_dimensional_gap_ambiguity_raises_with_the_bracket(scheme):
+    # theta puts the second smallest singular value of each kernel-and-
+    # cokernel matrix at the cut itself: the SVD route raises the one
+    # ambiguity error, with sigma_max at both ends of its bracket
+    prob = SuspensionProblem(path=kernel_and_cokernel_path(), grid_size=64, scheme=scheme)
+    for stencil in _block_matrices(prob):
+        mat = _fill(*stencil)
+        assert stencil[0].shape[1] == 2
+        sigma = np.linalg.svd(mat, compute_uv=False)
+        theta = sigma[-2] / sigma[0]
+        cut = theta * sigma[0]
+        assert sigma[-1] < cut / 10.0 <= sigma[-2] < 10.0 * cut
+        near = int(np.sum((sigma >= cut / 10.0) & (sigma < 10.0 * cut)))
+        assert _count(mat, theta, _dense_kernel_dim) == "ambiguous"
+        with pytest.raises(NumericError, match=f"gap ambiguity: {near} values near "
+                           "the threshold") as info:
+            _kernel_dim(stencil, theta)
+        assert info.value.partial == (sigma[0], sigma[0])
+        assert json.loads(json.dumps(info.value.partial)) == [sigma[0], sigma[0]]
+
+
 def test_index_holds_one_block_matrix_at_a_time(monkeypatch):
     # each dense matrix is counted and dropped before the next one is filled
     filled, fill = [], _fill
@@ -632,19 +656,38 @@ def test_index_holds_one_block_matrix_at_a_time(monkeypatch):
     assert len(filled) == 4
 
 
-@pytest.mark.parametrize("copies, runs", [(2.5, True), (1.5, False)])
-def test_memory_guard_counts_one_matrix_and_the_svd_copy(monkeypatch, copies, runs):
+def two_dimensional_constant(value):
+    model = WeightedBlockModel([(2, 1.0)])
+    us = np.linspace(0.0, 1.0, 9)
+    return OperatorPath(model, [(float(u), BlockHermitian(model, value)) for u in us])
+
+
+COMPLEX_BLOCK = np.array([[0.9, 0.1j], [-0.1j, 0.9]])
+
+
+@pytest.mark.parametrize("value, copies, runs", [
+    pytest.param(COMPLEX_BLOCK, 2.5, True, id="2.5-True"),
+    pytest.param(COMPLEX_BLOCK, 1.5, False, id="1.5-False"),
+    pytest.param(0.9 * np.eye(2), 1.5, True, id="real-1.5-True"),
+    pytest.param(0.9 * np.eye(2), 0.5, False, id="real-0.5-False")])
+def test_memory_guard_counts_one_matrix_and_the_svd_copy(monkeypatch, value, copies, runs):
     # a 2-dimensional block at M = 32 gives matrices of at most 64 x 66
-    # entries; the guard runs before the path is evaluated and counts 16
-    # bytes an entry
+    # entries, counted at 16 bytes an entry for a complex block and at 8 for
+    # a real one, which is filled in float64
+    prob = SuspensionProblem(path=two_dimensional_constant(value), grid_size=32)
+    dtype = COMPLEX if np.iscomplexobj(value) else REAL
+    assert [mat.dtype for mat in dense_matrices(prob)] == [dtype] * 2
     monkeypatch.setattr(apsindex, "physical_memory", lambda: copies * 16 * 64 * 66)
-    prob = SuspensionProblem(path=constant_path(0.9, WeightedBlockModel([(2, 1.0)])),
-                             grid_size=32)
     if runs:
         assert aps_index(prob) == 0.0
     else:
         with pytest.raises(PreconditionError, match="dense 64 x 66 matrices, .* GiB"):
             aps_index(prob)
+
+
+def test_a_numpy_integer_grid_size_is_accepted():
+    path = flatten_endpoints(single_crossing_path(), margin=0.15)
+    assert aps_index(SuspensionProblem(path=path, grid_size=np.int64(64))) == 1.0
 
 
 def chain_bytes(prob):
@@ -921,7 +964,11 @@ APSINDEX_GUARDS = {
     "block-model": (lambda: SuspensionProblem(path=_frequency_path()),
                     ValidationError, "weighted block model"),
     "grid-size": (lambda: SuspensionProblem(path=single_crossing_path(), grid_size=15),
-                  ValidationError, "grid_size must be at least 16"),
+                  ValidationError, "grid_size must be an integer >= 16"),
+    **{f"grid-size-{kind}": (lambda m=m: SuspensionProblem(
+        path=single_crossing_path(), grid_size=m),
+        ValidationError, "grid_size must be an integer >= 16")
+       for kind, m in (("float", 64.0), ("fraction", 64.5), ("string", "64"))},
     "scheme": (lambda: SuspensionProblem(path=single_crossing_path(), scheme="leapfrog"),
                ValidationError, "unknown scheme 'leapfrog'"),
     "geometry": (lambda: SuspensionProblem(path=single_crossing_path(), geometry="torus"),
@@ -966,6 +1013,10 @@ APSINDEX_GUARDS = {
         diagonal_operator(_TWO, [1.0, -2.0]),
         linear_k_path(_TWO, np.diag([0.0, 2.0]).astype(complex)), 1.0),
         PreconditionError, r"D \+ K_1 must be invertible"),
+    **{f"truncation-r-start-{r}": (lambda r=r: perturbation_truncation_check(
+        diagonal_operator(_TWO, [1.0, -2.0]), linear_k_path(_TWO, np.eye(2)), r),
+        ValidationError, "r_start must be positive and finite")
+       for r in (0.0, -1.0, math.nan, math.inf)},
 }
 
 
