@@ -56,6 +56,12 @@ class SuspensionProblem:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.geometry not in GEOMETRIES:
             raise ValidationError(f"unknown geometry {self.geometry!r}")
+        length = 1 if self.cylinder_length is None else self.cylinder_length
+        for name, value in (("kernel_threshold", self.kernel_threshold),
+                            ("cylinder_length", length)):
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise ValidationError(f"{name} must be a real number")
         if not self.kernel_threshold > 0:
             raise ValidationError("kernel_threshold must be positive")
         if not self.kernel_threshold < 0.1:  # else the window reaches sigma_max

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,21 +96,29 @@ _POSITIVE = _rule("a positive number", lambda v: _is_number(v) and v > 0)
 _NONNEGATIVE = _rule("a number >= 0", lambda v: _is_number(v) and v >= 0)
 _BOOLEAN = _rule("true or false", lambda v: isinstance(v, bool))
 _THRESHOLD = _rule("a positive number below 0.1", lambda v: _POSITIVE(v) and v < 0.1)
+_FILE_NAME = _rule("a plain file name inside --out", lambda v: isinstance(v, str)
+                   and v not in ("", ".", "..") and os.path.basename(v) == v and "\0" not in v)
+_BLOCKS = _rule(
+    "a nonempty list of [dim, weight] pairs, dim an integer >= 1 and weight a "
+    "positive number", lambda v: isinstance(v, list) and len(v) > 0 and all(
+        isinstance(b, list) and len(b) == 2 and _integer(1)(b[0]) and _POSITIVE(b[1])
+        for b in v))
+_SAMPLES = _rule("a list of {'u': number, 'matrix': nested lists}, with no other key",
+                 lambda v: isinstance(v, list) and all(
+                     isinstance(item, dict) and set(item) == {"u", "matrix"}
+                     and _is_number(item["u"]) and isinstance(item["matrix"], list)
+                     for item in v))
+NO_DEFAULT = object()  # in place of a default: the table gives none
 
-# Every optional scenario field as (value a run uses when it is absent, rule);
-# a nested dict is a section of the document.  path.params takes its fields
-# from GENERATOR_PARAMS for the path's generator, and the output file names
-# default to <name>.csv and <name>.log.  Validation and the run both read the
-# scenario through _with_defaults, so validation checks the values that run.
+# The fields of the untyped sections as (value a run uses when it is absent,
+# rule); a nested dict is a section of the document.  The output names have
+# no table default: _with_defaults names them after the scenario.
 FIELDS = {
+    "schema": (NO_DEFAULT, _rule(f"the integer {SCHEMA_VERSION}",
+                                 lambda v: type(v) is int and v == SCHEMA_VERSION)),
+    "name": (NO_DEFAULT, _rule("a nonempty string", lambda v: isinstance(v, str) and v != "")),
     "seed": (None, _optional(_integer(0))),
     "engines": ([], _list_of(_one_of(ENGINES))),
-    "model": {"rho": (1.0 / (2.0 * math.pi), _NONNEGATIVE),
-              "xi_max": (50.0, _POSITIVE), "n": (16, _integer(4)),
-              "profile": ("cos_ramp", _one_of(METRIC_PROFILES))},
-    "path": {"offset_start": (-1.0, _NUMBER), "offset_end": (1.0, _NUMBER),
-             "num_samples": (5, _integer(2)),
-             "interpolation": ("linear", _one_of(("linear", "cubic"))), "params": {}},
     "engine_params": {"s_grid": ([0.5, 2.0, 8.0], _list_of(_POSITIVE)),
                       "chi": (["sine"], _list_of(_one_of(CHI_PROFILES)))},
     "aps": {"enabled": (False, _BOOLEAN), "M": (200, _integer(16)),
@@ -120,72 +129,21 @@ FIELDS = {
                    "expected_value": (None, _optional(_NUMBER)),
                    "value_tolerance": (1e-9, _NONNEGATIVE),
                    "aps_matches_crossing": (False, _BOOLEAN)},
-    "output": {},
-}
-# The fields validate_scenario checks by hand, per section.  With FIELDS and
-# GENERATOR_PARAMS they are the scenario fields; any other key is refused.
-BY_HAND = {"": ("schema", "name", "model", "path"), "model.": ("type", "blocks"),
-           "path.": ("type", "name", "samples"), "path.params.": ("minus_dims",),
-           "output.": ("csv", "log")}
-# The path.params fields of each generator, in the shape of FIELDS.
-GENERATOR_PARAMS = {
-    "single_crossing": {"num_samples": (9, _integer(2))},
-    "involution": {"flatten": (True, _BOOLEAN)},
-    "random_invertible": {"num_samples": (7, _integer(2))},
-    "random_flat": {"num_samples": (7, _integer(2))},
+    "output": {"csv": (NO_DEFAULT, _FILE_NAME), "log": (NO_DEFAULT, _FILE_NAME)},
 }
 # The engines defined on the frequency model; the index is not.
 FREQUENCY_ENGINES = ("phillips", "integral")
 
 
-def _defaults(fields, given, prefix=""):
-    """``given`` with every absent field of ``fields`` at its default; a
-    section that is not an object is refused."""
-    full = dict(given)
-    for key, entry in fields.items():
-        if isinstance(entry, dict):
-            section = given.get(key, {})
-            _require(isinstance(section, dict), f"{prefix}{key} must be an object")
-            full[key] = _defaults(entry, section, f"{prefix}{key}.")
-        elif key not in given:
-            full[key] = entry[0]
-    return full
-
-
-def _with_defaults(doc):
-    """The scenario with every absent optional field at its default."""
-    full = _defaults(FIELDS, doc)
-    full["output"] = {"csv": f"{doc['name']}.csv", "log": f"{doc['name']}.log",
-                      **full["output"]}
-    path = full["path"]
-    if path["type"] == "generator":
-        path["params"] = _defaults(GENERATOR_PARAMS[path["name"]], path["params"])
-    return full
-
-
-def _check_fields(fields, values, prefix=""):
-    """Refuse the first key of ``values`` that is not a scenario field, then
-    the first value that fails its rule in ``fields``."""
-    for key in values:
-        _require(key in fields or key in BY_HAND.get(prefix, ()),
-                 f"{prefix}{key} is not a scenario field")
-    for key, entry in fields.items():
-        if isinstance(entry, dict):
-            _check_fields(entry, values[key], f"{prefix}{key}.")
-        else:
-            rule = entry[1]
-            _require(rule(values[key]), f"{prefix}{key} must be {rule.text}")
+# One type of a typed section: the fields it reads, in the shape of FIELDS;
+# ``build``, which reads them; ``check(doc)``, the checks that span sections,
+# run once every field has passed its rule; and, for a path, its model type.
+Kind = namedtuple("Kind", "fields build check model", defaults=(lambda doc: None, None))
 
 
 def _require(cond, message):
     if not cond:
         raise ScenarioError(message)
-
-
-def _plain_file_name(name):
-    """True for a file name that stays inside the output directory."""
-    return (isinstance(name, str) and name not in ("", ".", "..")
-            and os.path.basename(name) == name and "\0" not in name)
 
 
 def _require_samples_fit(rows, dim):
@@ -198,15 +156,167 @@ def _require_samples_fit(rows, dim):
              f"GiB against {memory / 2 ** 30:.1f} GiB of physical memory")
 
 
-def _numeric_matrix(entries, dim):
-    """True when ``entries`` is a nested list of numbers that reads as a real
-    dim x dim array, or a dim x dim array of [re, im] pairs."""
-    try:
-        cells = np.asarray(entries, dtype=object)
-    except ValueError:
-        return False
-    return (isinstance(entries, list) and cells.shape in ((dim, dim), (dim, dim, 2))
-            and all(_is_number(x) for x in cells.flat))
+def _check_frequency(doc):
+    _require(all(e in FREQUENCY_ENGINES for e in doc["engines"]),
+             f"the frequency model runs only the engines {FREQUENCY_ENGINES}")
+    _require(not doc["aps"]["enabled"],
+             "the index needs a weighted block model, not the frequency model")
+
+
+def _check_explicit(doc):
+    """Refuse a sample matrix that does not read as a real dim x dim array of
+    numbers, or a dim x dim array of [re, im] pairs, dim the model's."""
+    dim = sum(n for n, _ in doc["model"]["blocks"])
+    for item in doc["path"]["samples"]:
+        try:
+            cells = np.asarray(item["matrix"], dtype=object)
+        except ValueError:
+            cells = np.empty(0)
+        _require(cells.shape in ((dim, dim), (dim, dim, 2))
+                 and all(_is_number(x) for x in cells.flat),
+                 f"path.samples must hold {dim}x{dim} matrices of numbers "
+                 "(optionally of [re, im] pairs)")
+
+
+def _explicit_path(cfg, model, seed):
+    samples = []
+    for item in cfg["samples"]:
+        arr = np.asarray(item["matrix"], dtype=float)
+        mat = arr[..., 0] + 1j * arr[..., 1] if arr.ndim == 3 else arr.astype(complex)
+        samples.append((float(item["u"]), BlockHermitian(model, mat)))
+    return OperatorPath(model, samples, interpolation=cfg["interpolation"])
+
+
+def _involution_path(params, model, seed):
+    rng = rng_from_seed(seed) if seed is not None else None
+    path, _ = involution_path(model, params["minus_dims"], rng=rng)
+    return flatten_endpoints(path, margin=0.12, num_samples=41) if params["flatten"] else path
+
+
+def _random_generator(endpoint_flat):
+    return Kind({"num_samples": (7, _integer(2))},
+                lambda params, model, seed: random_path(
+                    rng_from_seed(seed), model, num_samples=params["num_samples"],
+                    endpoint_flat=endpoint_flat),
+                lambda doc: _require(doc["seed"] is not None,
+                                     "random generators require an integer 'seed'"))
+
+
+# One entry per model type, path type (path.type) and generator (path.name).
+# The builders look up the constructors on this module when they run, so a
+# tracer that patches them here sees every call.
+MODELS = {
+    "weighted_blocks": Kind(
+        {"blocks": (NO_DEFAULT, _BLOCKS)},
+        lambda cfg: WeightedBlockModel([(int(n), float(w)) for n, w in cfg["blocks"]])),
+    "frequency": Kind(
+        {"rho": (1.0 / (2.0 * math.pi), _NONNEGATIVE), "xi_max": (50.0, _POSITIVE)},
+        lambda cfg: FrequencyModel(rho=float(cfg["rho"]), xi_max=float(cfg["xi_max"])),
+        _check_frequency),
+    "circle_metric": Kind(
+        {"n": (16, _rule("an even integer >= 4", lambda v: _integer(4)(v) and v % 2 == 0)),
+         "profile": ("cos_ramp", _one_of(METRIC_PROFILES))},
+        lambda cfg: standard_metric_paths(n=int(cfg["n"]))[cfg["profile"]],
+        lambda doc: _require_samples_fit(1, 2 * (doc["model"]["n"] + 1))),
+}
+GENERATORS = {
+    "single_crossing": Kind(
+        {"num_samples": (9, _integer(2))},
+        lambda params, model, seed: single_crossing_path(num_samples=params["num_samples"]),
+        lambda doc: _require(doc["model"]["blocks"] == [[1, 1.0]],
+                             "single_crossing paths need model.blocks [[1, 1.0]]")),
+    "involution": Kind(
+        {"minus_dims": (NO_DEFAULT, _list_of(_integer(0))), "flatten": (True, _BOOLEAN)},
+        _involution_path,
+        lambda doc: _require(
+            len(doc["path"]["params"]["minus_dims"]) == len(doc["model"]["blocks"]),
+            "path.params.minus_dims must list one integer >= 0 per block")),
+    "random_invertible": _random_generator(False),
+    "random_flat": _random_generator(True),
+}
+PATHS = {
+    # path.params holds the fields of the generator that path.name selects
+    "generator": Kind(
+        {"name": (NO_DEFAULT, _one_of(GENERATORS)), "params": {}},
+        lambda cfg, model, seed: GENERATORS[cfg["name"]].build(cfg["params"], model, seed),
+        lambda doc: _require_samples_fit(doc["path"]["params"].get("num_samples", 1),
+                                         sum(n for n, _ in doc["model"]["blocks"])),
+        "weighted_blocks"),
+    "explicit": Kind(
+        {"samples": (NO_DEFAULT, _SAMPLES),
+         "interpolation": ("linear", _one_of(("linear", "cubic")))},
+        _explicit_path, _check_explicit, "weighted_blocks"),
+    "affine_frequency": Kind(
+        {"offset_start": (-1.0, _NUMBER), "offset_end": (1.0, _NUMBER),
+         "num_samples": (5, _integer(2))},
+        lambda cfg, model, seed: _dirac_path(model, float(cfg["offset_start"]),
+                                             float(cfg["offset_end"]), int(cfg["num_samples"])),
+        lambda doc: _require_samples_fit(doc["path"]["num_samples"], 1), "frequency"),
+    "metric_path": Kind({}, lambda cfg, model, seed: trivialized_path(model),
+                        model="circle_metric"),
+}
+
+
+def _select(table, doc, field):
+    """The entry of ``table`` that the field ``<section>.<key>`` of ``doc``
+    names; any other value is refused."""
+    section, key = field.split(".")
+    rule = _one_of(table)
+    _require(isinstance(doc.get(section), dict) and rule(doc[section].get(key)),
+             f"{field} must be {rule.text}")
+    return table[doc[section][key]]
+
+
+def _kinds(doc):
+    """The entries that model.type, path.type and, on a generator path,
+    path.name select; a path on another model type than its own is refused."""
+    kinds = [_select(MODELS, doc, "model.type"), _select(PATHS, doc, "path.type")]
+    _require(doc["model"]["type"] == kinds[1].model,
+             f"{doc['path']['type']} paths need model.type {kinds[1].model!r}")
+    if kinds[1] is PATHS["generator"]:
+        kinds.append(_select(GENERATORS, doc, "path.name"))
+    return kinds
+
+
+def _defaults(fields, given, prefix=""):
+    """``given`` with every absent field of ``fields`` that has a default at
+    that default; a section that is not an object is refused."""
+    full = dict(given)
+    for key, entry in fields.items():
+        if isinstance(entry, dict):
+            section = given.get(key, {})
+            _require(isinstance(section, dict), f"{prefix}{key} must be an object")
+            full[key] = _defaults(entry, section, f"{prefix}{key}.")
+        elif key not in given and entry[0] is not NO_DEFAULT:
+            full[key] = entry[0]
+    return full
+
+
+def _with_defaults(doc):
+    """The scenario with every absent field at its default, its field table
+    (FIELDS and the fields of the entries its types select), and the entries."""
+    model, path, *generator = kinds = _kinds(doc)
+    fields = dict(FIELDS, model=dict(model.fields, type=(NO_DEFAULT, _one_of(MODELS))),
+                  path=dict(path.fields, type=(NO_DEFAULT, _one_of(PATHS))))
+    if generator:
+        fields["path"]["params"] = generator[0].fields
+    full = _defaults(fields, doc)
+    full["output"] = {"csv": f"{doc.get('name')}.csv", "log": f"{doc.get('name')}.log",
+                      **full["output"]}
+    return full, fields, kinds
+
+
+def _check_fields(fields, values, prefix=""):
+    """Refuse the first key of ``values`` that is not a scenario field, then
+    the first field that is absent or fails its rule in ``fields``."""
+    for key in values:
+        _require(key in fields, f"{prefix}{key} is not a scenario field")
+    for key, entry in fields.items():
+        if isinstance(entry, dict):
+            _check_fields(entry, values[key], f"{prefix}{key}.")
+        else:
+            rule = entry[1]
+            _require(key in values and rule(values[key]), f"{prefix}{key} must be {rule.text}")
 
 
 def _finite_float(text):
@@ -234,129 +344,12 @@ def load_scenario(path):
 
 def validate_scenario(doc):
     _require(isinstance(doc, dict), "scenario must be a JSON object")
-    _require(type(doc.get("schema")) is int and doc["schema"] == SCHEMA_VERSION,
-             f"field 'schema' must be the integer {SCHEMA_VERSION}")
-    _require(isinstance(doc.get("name"), str) and doc["name"],
-             "field 'name' must be a nonempty string")
-    for name in ("model", "path"):
-        _require(isinstance(doc.get(name), dict) and "type" in doc[name],
-                 f"field {name!r} must be an object with a 'type'")
-    path = doc["path"]
-    _require(path["type"] != "generator" or isinstance(path.get("name"), str)
-             and path["name"] in GENERATOR_PARAMS,
-             f"path.name {path.get('name')!r}: unknown generator")
-    doc = _with_defaults(doc)
-    path = doc["path"]
-    kind = path["type"]
-    _check_fields(FIELDS if kind != "generator" else dict(
-        FIELDS, path=dict(FIELDS["path"], params=GENERATOR_PARAMS[path["name"]])), doc)
-
-    model = doc["model"]
-    _require(model["type"] in ("weighted_blocks", "frequency", "circle_metric"),
-             f"model.type {model['type']!r} unknown")
-    if model["type"] == "weighted_blocks":
-        blocks = model.get("blocks")
-        _require(isinstance(blocks, list) and blocks and all(
-            isinstance(b, list) and len(b) == 2 and _integer(1)(b[0])
-            and _POSITIVE(b[1]) for b in blocks),
-            "model.blocks must be a nonempty list of [dim, weight] pairs, "
-            "dim an integer >= 1 and weight a positive number")
-    if model["type"] == "circle_metric":
-        _require(model["n"] % 2 == 0, "model.n must be even")
-        _require_samples_fit(1, 2 * (model["n"] + 1))
-
-    _require(kind in ("generator", "explicit", "affine_frequency", "metric_path"),
-             f"path.type {kind!r} unknown")
-    _require((model["type"] == "circle_metric") == (kind == "metric_path"),
-             "model.type 'circle_metric' and path.type 'metric_path' go together")
-    if kind == "affine_frequency":
-        _require(model["type"] == "frequency",
-                 "affine_frequency paths need a frequency model")
-        _require(all(e in FREQUENCY_ENGINES for e in doc["engines"]),
-                 f"the frequency model runs only the engines {FREQUENCY_ENGINES}")
-        _require(not doc["aps"]["enabled"],
-                 "the index needs a weighted block model, not the frequency model")
-        _require_samples_fit(path["num_samples"], 1)
-    if kind == "explicit":
-        _require(model["type"] == "weighted_blocks",
-                 "explicit paths need a weighted block model")
-        dim = sum(n for n, _ in model["blocks"])
-        samples = path.get("samples")
-        _require(isinstance(samples, list) and all(
-            isinstance(item, dict) and _is_number(item.get("u"))
-            and _numeric_matrix(item.get("matrix"), dim) for item in samples),
-            "path.samples must be a list of {'u': number, 'matrix': numbers}, "
-            f"each matrix {dim}x{dim} (optionally [re, im] pairs)")
-    if kind == "generator":
-        name = path["name"]
-        params = path["params"]
-        _require(model["type"] == "weighted_blocks",
-                 f"{name} paths need a weighted block model")
-        _require(name != "single_crossing" or model["blocks"] == [[1, 1.0]],
-                 "single_crossing paths need model.blocks [[1, 1.0]]")
-        if name.startswith("random"):
-            _require(doc["seed"] is not None,
-                     "random generators require an integer 'seed'")
-        if name == "involution":
-            minus = params.get("minus_dims")
-            _require(isinstance(minus, list) and len(minus) == len(model["blocks"])
-                     and all(_integer(0)(m) for m in minus),
-                     "path.params.minus_dims must list one integer >= 0 per block")
-        _require_samples_fit(params.get("num_samples", 1),
-                             sum(n for n, _ in model["blocks"]))
-
-    output = doc["output"]
-    _require(all(isinstance(v, str) for v in output.values())
-             and _plain_file_name(output["csv"]) and _plain_file_name(output["log"])
-             and output["csv"] != output["log"],
-             "field 'output' must map 'csv' and 'log' to two plain file names")
-
-
-# ---------------------------------------------------------------------------
-# model / path construction
-
-def _build_model(cfg):
-    kind = cfg["type"]
-    if kind == "weighted_blocks":
-        return WeightedBlockModel([(int(n), float(w)) for n, w in cfg["blocks"]])
-    if kind == "frequency":
-        return FrequencyModel(rho=float(cfg["rho"]), xi_max=float(cfg["xi_max"]))
-    return standard_metric_paths(n=int(cfg["n"]))[cfg["profile"]]
-
-
-def _decode_matrix(entries):
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim == 3:
-        return arr[..., 0] + 1j * arr[..., 1]
-    return arr.astype(complex)
-
-
-def _build_path(cfg, model, seed):
-    kind = cfg["type"]
-    if kind == "metric_path":
-        return trivialized_path(model)
-    if kind == "affine_frequency":
-        return _dirac_path(model, float(cfg["offset_start"]), float(cfg["offset_end"]),
-                           int(cfg["num_samples"]))
-    if kind == "explicit":
-        samples = [(float(item["u"]),
-                    BlockHermitian(model, _decode_matrix(item["matrix"])))
-                   for item in cfg["samples"]]
-        return OperatorPath(model, samples, interpolation=cfg["interpolation"])
-    # generators
-    name = cfg["name"]
-    params = cfg["params"]
-    if name == "single_crossing":
-        return single_crossing_path(num_samples=params["num_samples"])
-    if name == "involution":
-        rng = rng_from_seed(seed) if seed is not None else None
-        path, _ = involution_path(model, params["minus_dims"], rng=rng)
-        if params["flatten"]:
-            path = flatten_endpoints(path, margin=0.12, num_samples=41)
-        return path
-    return random_path(rng_from_seed(seed), model,
-                       num_samples=params["num_samples"],
-                       endpoint_flat=(name == "random_flat"))
+    full, fields, kinds = _with_defaults(doc)
+    _check_fields(fields, full)
+    for kind in kinds:
+        kind.check(full)
+    _require(full["output"]["csv"] != full["output"]["log"],
+             "output.csv and output.log must name two files")
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +390,13 @@ def run_scenario(doc, out_dir=".", threads=1):
     other; ``threads`` is accepted for callers written against the former
     thread pool and has no effect.
     """
-    doc = _with_defaults(doc)
+    doc, _, (model_kind, path_kind, *_) = _with_defaults(doc)
     os.makedirs(out_dir, exist_ok=True)
     record = RunRecord(scenario=doc["name"], seed=doc["seed"])
     started = time.perf_counter()
 
-    model = _build_model(doc["model"])
-    path = _build_path(doc["path"], model, doc["seed"])
+    model = model_kind.build(doc["model"])
+    path = path_kind.build(doc["path"], model, doc["seed"])
 
     rows = []
     for stage, engine, s, name, call in _calls(doc, path):
@@ -506,8 +499,7 @@ def _scenario_dir():
 
 
 def list_scenarios():
-    names = sorted(f for f in os.listdir(_scenario_dir()) if f.endswith(".json"))
-    return names
+    return sorted(f for f in os.listdir(_scenario_dir()) if f.endswith(".json"))
 
 
 def main(argv=None):

@@ -402,12 +402,13 @@ def sf_appendix(path, chi, rescale=False):
         p = dec.nonneg_mask().astype(float)
         return float(np.sum(dec.weights * (2.0 * p - 1.0 - chi(dec.eigenvalues / scale))))
 
-    raw = 0.5 * integral + 0.5 * endpoint_term(dec1) - 0.5 * endpoint_term(dec0)
+    end, start = 0.5 * endpoint_term(dec1), -0.5 * endpoint_term(dec0)
+    raw = 0.5 * integral + end + start
     diagnostics = {
         "chi": chi.name,
         "integral_term": 0.5 * integral,
-        "endpoint_term_end": 0.5 * endpoint_term(dec1),
-        "endpoint_term_start": -0.5 * endpoint_term(dec0),
+        "endpoint_term_end": end,
+        "endpoint_term_start": start,
         "rescale_factor": scale,
         "min_endpoint_gap": endpoint_gap(dec.eigenvalues for dec in (dec0, dec1)),
         "quadrature_error": 0.5 * quad_err,

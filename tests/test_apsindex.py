@@ -690,6 +690,15 @@ def test_a_numpy_integer_grid_size_is_accepted():
     assert aps_index(SuspensionProblem(path=path, grid_size=np.int64(64))) == 1.0
 
 
+@pytest.mark.parametrize("theta, length", [(np.float64(1e-7), np.int64(2)),
+                                           (1e-7, 2), (np.float32(1e-7), 2.0)])
+def test_numpy_and_python_numbers_set_threshold_and_length(theta, length):
+    prob = SuspensionProblem(path=single_crossing_path(), grid_size=64,
+                             geometry="cylinder", kernel_threshold=theta,
+                             cylinder_length=length)
+    assert aps_index(prob) == 1.0
+
+
 def chain_bytes(prob):
     """What the memory guard counts for a problem of 1-dimensional blocks:
     160 bytes an interval, and 160 more for each operator entry."""
@@ -988,6 +997,14 @@ APSINDEX_GUARDS = {
         path=single_crossing_path(), geometry="cylinder", cylinder_length=length),
         ValidationError, "cylinder_length must be positive")
        for length in (-1.0, 0.0, math.nan)},
+    **{f"kernel-threshold-{theta!r}": (lambda theta=theta: SuspensionProblem(
+        path=single_crossing_path(), kernel_threshold=theta),
+        ValidationError, "kernel_threshold must be a real number")
+       for theta in ("0.01", None, True)},
+    **{f"cylinder-length-{length!r}": (lambda length=length: SuspensionProblem(
+        path=single_crossing_path(), geometry="cylinder", cylinder_length=length),
+        ValidationError, "cylinder_length must be a real number")
+       for length in ("2", True)},
     "halfline-operator": (lambda: halfline_aps_apply_inverse(np.eye(1), np.zeros(9), 1.0, 8),
                           ValidationError, "expects a BlockHermitian"),
     "halfline-rhs-shape": (lambda: halfline_aps_apply_inverse(

@@ -14,9 +14,9 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sfcalc
-from sfcalc.cli import (ENGINES, FIELDS, GENERATOR_PARAMS, _scenario_dir,
-                        list_scenarios, load_scenario, main, run_scenario,
-                        validate_scenario, ScenarioError)
+from sfcalc.cli import (ENGINES, FIELDS, GENERATORS, MODELS, NO_DEFAULT, PATHS,
+                        _scenario_dir, list_scenarios, load_scenario, main,
+                        run_scenario, validate_scenario, ScenarioError)
 from sfcalc.engines import SpectralFlowResult, sf_crossing, sf_integral, sf_phillips
 from sfcalc.errors import NumericError
 from sfcalc.path import OperatorPath
@@ -435,6 +435,9 @@ def _explicit_path(entry):
     ("single_crossing", "model.blocks", [[1, 0.5]]),
     ("single_crossing", "model.blocks", [[3, 2.0], [2, 1.0]]),
     ("single_crossing", "model.type", "frequency"),
+    ("random_agreement", "path", {"type": "explicit", "samples": [
+        {"u": 0.0, "matrix": np.eye(7).tolist(), "weight": 2.0},
+        {"u": 1.0, "matrix": np.eye(7).tolist()}]}),
 ], ids=["metric-path-on-blocks", "engine-params-list", "aps-list",
         "weight-string", "chi-int", "explicit-matrix-string",
         "circle-metric-without-metric-path", "negative-seed",
@@ -450,7 +453,7 @@ def _explicit_path(entry):
         "aps-matches-crossing-string", "flatten-string", "block-entries-true",
         "xi-max-zero", "rho-negative", "generator-path-quadratic",
         "single-crossing-half-weight", "single-crossing-two-blocks",
-        "single-crossing-frequency-model"])
+        "single-crossing-frequency-model", "explicit-sample-unread-key"])
 def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, value):
     doc = json.load(open(bundled(f"{scenario}.json")))
     _set_path(doc, key, value(tmp_path) if callable(value) else value)
@@ -482,6 +485,12 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, scenario, key, v
         "top-level-misspelled"])
 def test_unknown_field_exits_2_and_names_it(tmp_path, capsys, scenario, key, value):
     # an unknown field is never read: a misspelled assertion would pass unchecked
+    _assert_refused_as_unknown(tmp_path, capsys, scenario, key, value)
+
+
+def _assert_refused_as_unknown(tmp_path, capsys, scenario, key, value):
+    """``sfcalc run`` of a bundled scenario with ``key`` set to ``value``
+    exits 2 as "<key> is not a scenario field" and writes nothing."""
     doc = json.load(open(bundled(f"{scenario}.json")))
     _set_path(doc, key, value)
     scen = tmp_path / "unknown.json"
@@ -571,38 +580,48 @@ def test_failed_quadrature_names_the_integral_stage_once(tmp_path, monkeypatch,
 
 
 def _table_fields(fields, prefix=""):
-    """(dotted key, default) of every field of a FIELDS-shaped table."""
+    """(dotted key, default) of every field of a FIELDS-shaped table that has
+    a default."""
     for key, entry in fields.items():
         if isinstance(entry, dict):
             yield from _table_fields(entry, f"{prefix}{key}.")
-        else:
+        elif entry[0] is not NO_DEFAULT:
             yield prefix + key, entry[0]
 
 
-def _generator_doc(name):
-    """A bundled document whose path is generator ``name``, or zsign_dirac."""
-    base = {None: "zsign_dirac", "single_crossing": "single_crossing",
+def _typed_doc(name):
+    """A document of model type, path type or generator ``name``: a bundled
+    one, or random_agreement with an explicit path; zsign_dirac for None."""
+    base = {None: "zsign_dirac", "frequency": "zsign_dirac",
+            "affine_frequency": "zsign_dirac", "circle_metric": "circle_signature",
+            "metric_path": "circle_signature", "single_crossing": "single_crossing",
             "involution": "involution_norm"}.get(name, "random_agreement")
     doc = json.load(open(bundled(f"{base}.json")))
-    if name is not None:
+    if name == "explicit":
+        doc["path"] = _explicit_path(1.0)
+    elif name in GENERATORS:
         doc["path"]["name"] = name
     return doc
 
 
 TABLE_FIELDS = (
     [(None, key, default) for key, default in _table_fields(FIELDS)]
-    + [(name, key, default) for name, params in GENERATOR_PARAMS.items()
-       for key, default in _table_fields(params, "path.params.")])
+    + [(name, key, default) for section, table in (("model", MODELS), ("path", PATHS))
+       for name, kind in table.items()
+       for key, default in _table_fields(kind.fields, f"{section}.")]
+    + [(name, key, default) for name, kind in GENERATORS.items()
+       for key, default in _table_fields(kind.fields, "path.params.")])
 
 
-@pytest.mark.parametrize("generator, key, default", TABLE_FIELDS,
-                         ids=[f"{g or 'FIELDS'}:{k}" for g, k, _ in TABLE_FIELDS])
-def test_every_table_field_has_a_strict_rule(generator, key, default):
-    # each optional field takes its default, and refuses a nested list, the
-    # string "false" and, unless its default is a bool, JSON true, each with
-    # a ScenarioError that names the field
+# ids: <generator>:<key> for path.params, FIELDS:<key> for every other field
+@pytest.mark.parametrize("owner, key, default", TABLE_FIELDS, ids=[
+    f"{owner if owner in GENERATORS else 'FIELDS'}:{key}" for owner, key, _ in TABLE_FIELDS])
+def test_every_table_field_has_a_strict_rule(owner, key, default):
+    # each optional field takes its default on a document of its type, and
+    # refuses a nested list, the string "false" and, unless its default is a
+    # bool, JSON true, each with a ScenarioError that names the field
     def validate_with(value):
-        doc = _generator_doc(generator)
+        doc = _typed_doc(owner)
         doc.setdefault(key.split(".")[0], {})
         _set_path(doc, key, value)
         validate_scenario(doc)
@@ -611,6 +630,46 @@ def test_every_table_field_has_a_strict_rule(generator, key, default):
     for value in [[[1, 1.0]], "false"] + ([] if isinstance(default, bool) else [True]):
         with pytest.raises(ScenarioError, match=f"^{key} must be "):
             validate_with(value)
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("random_agreement", "model.rho", 0.2),
+    ("random_agreement", "model.n", 8),
+    ("random_agreement", "model.profile", "cos_ramp"),
+    ("zsign_dirac", "model.blocks", [[1, 1.0]]),
+    ("random_agreement", "path.offset_start", -2.0),
+    ("random_agreement", "path.interpolation", "cubic"),
+    ("zsign_dirac", "path.interpolation", "linear"),
+    ("circle_signature", "path.samples", [{"u": 0.0, "matrix": [[1.0]]}]),
+    ("circle_signature", "path.name", "random_flat"),
+    ("random_agreement", "path.params.minus_dims", [1, 1, 1]),
+], ids=["blocks-rho", "blocks-n", "blocks-profile", "frequency-blocks",
+        "generator-offset-start", "generator-cubic", "affine-frequency-interpolation",
+        "metric-path-samples", "metric-path-name", "random-flat-minus-dims"])
+def test_a_field_of_another_type_is_refused(tmp_path, capsys, scenario, key, value):
+    # a section reads the fields of its own type only; another type's field
+    # would be ignored by the run
+    _assert_refused_as_unknown(tmp_path, capsys, scenario, key, value)
+
+
+def _all_keys(fields):
+    """Every key of a FIELDS-shaped table, those inside its sections too."""
+    for key, entry in fields.items():
+        yield key
+        if isinstance(entry, dict):
+            yield from _all_keys(entry)
+
+
+def test_readme_schema_names_every_type_and_field():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Scenario schema (v1)")[1].split("\n## ")[0]
+    kinds = {**MODELS, **PATHS, **GENERATORS}
+    names = (set(kinds) | set(_all_keys(FIELDS))
+             | {key for kind in kinds.values() for key in _all_keys(kind.fields)})
+    missing = sorted(name for name in names if f"`{name}`" not in section)
+    assert not missing, f"README's scenario schema does not name {missing}"
 
 
 # ---------------------------------------------------------------------------
