@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engines import sf_crossing
 from .errors import NumericError, PreconditionError, ValidationError
 from .path import OperatorPath
 from .tracemodel import (BlockHermitian, Interval, WeightedBlockModel, eigh,
-                         endpoint_gap, endpoint_parts, nonneg_masks,
-                         spectral_projection)
+                         endpoint_gap, nonneg_masks, spectral_projection)
 
 __all__ = ["SuspensionProblem", "aps_index", "halfline_aps_apply_inverse",
            "halfline_residual", "perturbation_truncation_check"]
@@ -71,7 +71,7 @@ class SuspensionProblem:
         if self.geometry == "interval-APS" and not self.path.endpoint_flat:
             raise ValidationError("interval-APS requires an endpoint-flat path")
         if self.geometry == "cylinder":
-            gap = endpoint_gap(lam for lam, _ in endpoint_parts(self.path))
+            gap = endpoint_gap(self.path.spectra)
             if gap <= 1e-8:
                 raise ValidationError(
                     f"cylinder geometry needs invertible endpoints (gap {gap:.3e})")
@@ -83,7 +83,15 @@ def physical_memory():
             if hasattr(os, "sysconf") else math.inf)
 
 
-def _grid(prob, parts):
+def _real_blocks(path):
+    """Per block, whether its samples and its endpoint bases in the path's
+    ``spectra`` have no imaginary part: the index then builds the block in
+    float64, with real SVDs at half the bytes."""
+    return [not (np.any(path._stack[:, sl, sl].imag) or np.any(v[[0, -1]].imag))
+            for sl, (_, v) in zip(path.model.block_slices, path.spectra)]
+
+
+def _grid(prob, real):
     """Node parameter values; cylinder nodes run beyond [0, 1].
 
     A grid whose index would not fit in physical memory is refused before
@@ -91,15 +99,15 @@ def _grid(prob, parts):
     (n = dim), above tracemalloc's peak for 1-dimensional blocks, which fill
     nothing; and per block of dimension d >= 2 the matrix the index fills
     and the SVD's copy, each (K d) x ((K + 1) d) entries at most for K
-    intervals, at 8 bytes where the block's samples and endpoint bases are
-    real (a float64 build) and 16 otherwise.
+    intervals, at 8 bytes for a block ``real`` marks (a float64 build) and
+    16 otherwise.
     """
     m = prob.grid_size
     steps = 0
     if prob.geometry == "cylinder":
         length = prob.cylinder_length
         if length is None:
-            length = 4.0 / endpoint_gap(lam for lam, _ in parts)
+            length = 4.0 / endpoint_gap(prob.path.spectra)
         steps = float(length) * m
         if not steps < 2.0 ** 60:  # beyond any memory, and beyond the float range
             raise PreconditionError(
@@ -108,8 +116,8 @@ def _grid(prob, parts):
         steps = max(1, math.ceil(steps))
     model, k = prob.path.model, m + 2 * steps
     need, size = 160 * (1 + model.dim ** 2) * k, f"{k} grid intervals"
-    for (d, _), sl, (_, v) in zip(model.blocks, model.block_slices, parts):
-        entry = 16 if np.any(prob.path._stack[:, sl, sl].imag) or np.any(v.imag) else 8
+    for (d, _), is_real in zip(model.blocks, real):
+        entry = 8 if is_real else 16
         if d > 1 and (block := 2 * entry * (k * d) * ((k + 1) * d)) > need:
             need, size = block, f"dense {k * d} x {(k + 1) * d} matrices"
     memory = physical_memory()
@@ -164,14 +172,15 @@ def _block_matrices(prob):
     are the unconstrained node components.  The path is evaluated once per
     distinct clamped point: interval midpoints (forward-upwind) or nodes
     (implicit-midpoint, which averages D over each node pair).  The boundary
-    bases are each block's endpoint eigenvectors, split into the negative
-    and the nonnegative side by :func:`nonneg_masks`.  A block whose interval
-    values and endpoint bases have no imaginary part is built in float64.
+    bases are each block's endpoint eigenvectors in the path's ``spectra``,
+    split into the negative and the nonnegative side by
+    :func:`nonneg_masks`.  A block whose samples and endpoint bases are real
+    (:func:`_real_blocks`) is built in float64.
     """
     path = prob.path
-    model = path.model
-    parts = endpoint_parts(path)
-    nodes = _grid(prob, parts)
+    model, parts = path.model, path.spectra
+    real = _real_blocks(path)
+    nodes = _grid(prob, real)
     h = nodes[1] - nodes[0]
     if prob.scheme == "forward-upwind":
         points = np.clip(0.5 * (nodes[:-1] + nodes[1:]), 0.0, 1.0)
@@ -179,13 +188,14 @@ def _block_matrices(prob):
         points = np.clip(nodes, 0.0, 1.0)
     distinct, where = np.unique(points, return_inverse=True)
     values = path.eval(distinct)
-    for sl, (_, v), mask in zip(model.block_slices, parts, nonneg_masks(parts)):
+    for sl, (_, v), mask, is_real in zip(model.block_slices, parts,
+                                         nonneg_masks(parts), real):
         dm = values[:, sl, sl][where]
         if prob.scheme == "implicit-midpoint":
             dm = 0.5 * (dm[:-1] + dm[1:])
-        (v0, v1), (m0, m1) = v, mask
-        if not any(np.any(x.imag) for x in (dm, v0, v1)):
-            dm, v0, v1 = dm.real, v0.real, v1.real  # real SVDs, half the bytes
+        (v0, v1), (m0, m1) = v[[0, -1]], mask[[0, -1]]
+        if is_real:
+            dm, v0, v1 = dm.real, v0.real, v1.real
         yield dm, h, 1.0, v0[:, ~m0], v1[:, m1]
         yield dm, h, -1.0, v0[:, m0], v1[:, ~m1]
 
@@ -310,8 +320,9 @@ def halfline_aps_apply_inverse(d0, f, length, grid_size):
     """
     if not isinstance(d0, BlockHermitian):
         raise ValidationError("halfline inverse expects a BlockHermitian")
-    if not (length > 0 and grid_size >= 1):
-        raise ValidationError("halfline inverse needs length > 0 and grid_size >= 1")
+    if not (0 < length < math.inf and grid_size >= 1):
+        raise ValidationError("halfline inverse needs length > 0 and grid_size >= 1, "
+                              "with a finite length")
     dec = eigh(d0)
     if dec.kernel_mask().any():
         raise PreconditionError("half-line inverse needs an invertible operator")
@@ -364,8 +375,6 @@ def perturbation_truncation_check(d, k_path, r_start):
     the cylinder of length 2 with 64 intervals, which must agree.
     """
     smin_floor = 1e-8
-    from .engines import sf_crossing
-
     if not isinstance(d, BlockHermitian):
         raise ValidationError("perturbation check expects a BlockHermitian")
     if not 0 < r_start < math.inf:

@@ -24,10 +24,9 @@ from .apsindex import (GEOMETRIES, SCHEMES, SuspensionProblem, aps_index,
                        physical_memory)
 from .engines import CHI_PROFILES, sf_appendix, sf_crossing, sf_integral, sf_phillips
 from .errors import NumericError, SfcalcError, ValidationError
-from .generators import (involution_path, random_path, rng_from_seed,
-                         single_crossing_path)
-from .geometry import (METRIC_PROFILES, _dirac_path, standard_metric_paths,
-                       trivialized_path)
+from .generators import (dirac_path, involution_path, random_path,
+                         rng_from_seed, single_crossing_path)
+from .geometry import METRIC_PROFILES, standard_metric_paths, trivialized_path
 from .path import OperatorPath, flatten_endpoints
 from .tracemodel import BlockHermitian, FrequencyModel, WeightedBlockModel
 from .verify import SUITES, format_table, run_suite
@@ -249,8 +248,8 @@ PATHS = {
     "affine_frequency": Kind(
         {"offset_start": (-1.0, _NUMBER), "offset_end": (1.0, _NUMBER),
          "num_samples": (5, _integer(2))},
-        lambda cfg, model, seed: _dirac_path(model, float(cfg["offset_start"]),
-                                             float(cfg["offset_end"]), int(cfg["num_samples"])),
+        lambda cfg, model, seed: dirac_path(model, float(cfg["offset_start"]),
+                                            float(cfg["offset_end"]), int(cfg["num_samples"])),
         lambda doc: _require_samples_fit(doc["path"]["num_samples"], 1), "frequency"),
     "metric_path": Kind({}, lambda cfg, model, seed: trivialized_path(model),
                         model="circle_metric"),

@@ -12,7 +12,7 @@ from .tracemodel import BlockHermitian, WeightedBlockModel, apply_function, eigh
 
 __all__ = ["rng_from_seed", "random_block_model", "random_hermitian",
            "random_path", "single_crossing_path", "scalar_linear_path",
-           "involution_path", "random_unitary_path"]
+           "involution_path", "random_unitary_path", "dirac_path"]
 
 WEIGHT_CHOICES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
@@ -122,3 +122,11 @@ def random_unitary_path(rng, model, num_samples):
     v = dec.eigenvectors
     return [(v * np.exp(1j * theta * dec.eigenvalues)) @ v.conj().T
             for theta in 0.7 * np.sin(np.pi * np.linspace(0.0, 1.0, num_samples))]
+
+
+def dirac_path(model, u0, u1, num_samples):
+    """The frequency-model symbols xi + u for u from u0 to u1, at
+    ``num_samples`` evenly spaced path parameters."""
+    ts = np.linspace(0.0, 1.0, num_samples)
+    offsets = u0 + ts * (u1 - u0)
+    return OperatorPath._of_stack(model, ts, np.column_stack([offsets, np.ones_like(ts)]))

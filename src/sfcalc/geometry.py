@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .apsindex import SuspensionProblem, aps_index
 from .engines import (CHI_PROFILES, cg_bound, sf_appendix, sf_crossing,
                       sf_integral, sf_phillips)
 from .errors import DomainError, ValidationError
+from .generators import dirac_path
 from .path import OperatorPath, flat_profile, hermite, hermite_tangents
 from .tracemodel import (BlockHermitian, FrequencyModel, IndicatorSymbol,
-                         WeightedBlockModel, eigh, freq_trace)
+                         SpectralDecomposition, WeightedBlockModel, eigh,
+                         freq_trace)
 
 __all__ = ["CircleMetricPath", "SignatureOperator", "build_signature",
            "trivialization", "trivialized_path", "signature_flow_scenario",
@@ -272,8 +275,6 @@ def signature_flow_scenario(metric, s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_gr
     five parameters in [0.25, 0.75] (conjugation-invariance residual,
     two-term bound table, kernel traces, projection jumps).  Each of the
     five parameters is factored and decomposed once."""
-    from .apsindex import SuspensionProblem, aps_index
-
     path = trivialized_path(metric)
     report = {"engines": {
         "crossing": sf_crossing(path),
@@ -283,7 +284,8 @@ def signature_flow_scenario(metric, s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_gr
         "n": metric.n}
     report["aps_index"] = aps_index(SuspensionProblem(path=path, grid_size=aps_grid))
 
-    decs = [eigh(path.sample(j)) for j in range(len(path.us))]
+    decs = [SpectralDecomposition.of_stack(path.model, path.spectra, j)
+            for j in range(len(path.us))]
     report["kernel_traces"] = [d.weighted_count(d.kernel_mask()) for d in decs]
     projs = [v @ v.conj().T for v in (d.eigenvectors[:, d.nonneg_mask()] for d in decs)]
     report["projection_jumps"] = [float(np.linalg.norm(q - p, 2))
@@ -321,21 +323,13 @@ def signature_flow_scenario(metric, s_grid=(2.0, 4.0, 16.0, 64.0, 256.0), aps_gr
 # ---------------------------------------------------------------------------
 # frequency-model Dirac family
 
-def _dirac_path(model, u0, u1, num_samples):
-    """The symbols xi + u for u from u0 to u1, at ``num_samples`` evenly
-    spaced path parameters."""
-    ts = np.linspace(0.0, 1.0, num_samples)
-    offsets = u0 + ts * (u1 - u0)
-    return OperatorPath._of_stack(model, ts, np.column_stack([offsets, np.ones_like(ts)]))
-
-
 def dirac_family_scenario(u_range=(-1.0, 1.0)):
     """Shifted-symbol family xi + u over ``u_range``, sampled at 5 points, on
     the default frequency model: nonzero spectral flow with identically
     trivial kernels."""
     u0, u1 = float(u_range[0]), float(u_range[1])
     model = FrequencyModel()
-    path = _dirac_path(model, u0, u1, 5)
+    path = dirac_path(model, u0, u1, 5)
     flow = sf_phillips(path)
 
     lo, hi = sorted((-u1, -u0))

@@ -12,9 +12,9 @@ too.  Block paths evaluate an array of parameters into a stack at once.
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ModelError, ValidationError
 from .tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
-                         WeightedBlockModel)
+                         WeightedBlockModel, eigh_stack)
 
 __all__ = ["OperatorPath", "concatenate", "conjugate", "reverse",
            "direct_sum", "flatten_endpoints", "reparametrize",
@@ -102,7 +102,8 @@ class OperatorPath:
     """Sampled path u -> F_u with u_0 = 0 and u_last = 1.
 
     ``endpoint_flat`` is True when the first two and the last two samples
-    agree, so the path is constant near both ends.
+    agree, so the path is constant near both ends.  ``spectra`` is the
+    :func:`eigh_stack` decomposition of its samples, made on first use.
     """
 
     def __init__(self, model, samples, interpolation="linear"):
@@ -135,7 +136,7 @@ class OperatorPath:
 
     def _setup(self, model, us, stack, interpolation):
         self.model, self.interpolation = model, interpolation
-        self.us, self._stack = us, stack
+        self.us, self._stack, self._spectra = us, stack, None
         if interpolation == "cubic":
             self._tangents = hermite_tangents(us, stack)
         scale = max(1.0, np.abs(stack).max())
@@ -152,6 +153,14 @@ class OperatorPath:
     @property
     def nodes(self):
         return self.us.copy()
+
+    @property
+    def spectra(self):
+        if self.is_frequency:
+            raise ModelError("symbol paths have no sample decomposition")
+        if self._spectra is None:
+            self._spectra = eigh_stack(self.model, self._stack)
+        return self._spectra
 
     def sample(self, j):
         return self._element(self._stack[j])
@@ -291,7 +300,10 @@ def reparametrize(path, phi, num_samples=None):
 
 
 def flatten_endpoints(path, margin=0.15, num_samples=None):
-    """Resample along a C^2 warp so the path is constant near u = 0, 1."""
+    """Resample along a C^2 warp so the path is constant on [0, margin] and
+    [1 - margin, 1], for 0 <= margin < 1/2."""
+    if not 0.0 <= margin < 0.5:
+        raise ValidationError(f"margin must lie in [0, 0.5), got {margin!r}")
     if num_samples is None:
         num_samples = max(2 * len(path.us) + 1, 33)
     ts = np.linspace(0.0, 1.0, num_samples)

@@ -47,8 +47,8 @@ def _panel_values(f, panels):
 
 def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
                             breakpoints=()):
-    """Integrate the vectorized callable ``f`` over ``[a, b]``, a < b (else
-    a :class:`DomainError`).
+    """Integrate the vectorized callable ``f`` over ``[a, b]``, a < b, to a
+    positive finite ``abs_tol`` (else a :class:`DomainError`).
 
     Returns ``(value, error_estimate, panels_used)``.  ``max_panels`` caps
     the panels evaluated: a level that would pass it is not evaluated, and
@@ -63,6 +63,8 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     """
     if not a < b:
         raise DomainError(f"quadrature needs a < b, got [{a!r}, {b!r}]")
+    if not 0 < abs_tol < math.inf:
+        raise DomainError(f"quadrature needs a positive finite tolerance, got {abs_tol!r}")
 
     cuts = sorted({float(p) for p in breakpoints if a < p < b})
     edges = [a] + cuts + [b]

@@ -12,6 +12,7 @@ Two model families are provided:
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "WeightedBlockModel", "BlockHermitian", "SpectralDecomposition",
-    "Interval", "trace", "eigh", "eigh_stack", "endpoint_parts",
+    "Interval", "trace", "eigh", "eigh_stack",
     "spectral_projection", "apply_function",
     "FrequencyModel", "FreqSymbol", "AffineSymbol", "IndicatorSymbol",
     "freq_trace", "zero_tolerance",
@@ -38,6 +39,11 @@ def zero_tolerance(op_norm):
     """Eigenvalue magnitude below which a mode counts as kernel, for an
     operator norm or, elementwise, an array of them."""
     return ZERO_CLUSTER_FACTOR * (1.0 + np.asarray(op_norm, dtype=float))
+
+
+def _is_real(x):
+    """Whether x is a Python or numpy real number, bools excluded."""
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
 
 
 class ClusterBoundaryWarning(UserWarning):
@@ -89,14 +95,17 @@ class WeightedBlockModel:
     blocks: tuple
 
     def __init__(self, blocks):
-        blocks = tuple((int(n), float(w)) for n, w in blocks)
+        blocks = tuple(blocks)
         if not blocks:
             raise ValidationError("model needs at least one block")
         for n, w in blocks:
+            if not (isinstance(n, numbers.Integral) and _is_real(n)):
+                raise ValidationError(f"block dimension {n!r} must be an integer")
             if n < 1:
                 raise ValidationError(f"block dimension {n} < 1")
-            if not (w > 0.0 and math.isfinite(w)):
-                raise ValidationError(f"block weight {w} must be positive finite")
+            if not (_is_real(w) and 0.0 < w < math.inf):
+                raise ValidationError(f"block weight {w!r} must be positive finite")
+        blocks = tuple((int(n), float(w)) for n, w in blocks)
         object.__setattr__(self, "blocks", blocks)
         # the common rational step q of the weights, or None: every weight
         # must be within roundoff of a fraction of denominator <= 10**4
@@ -327,12 +336,6 @@ def eigh_stack(model, mats):
     return parts
 
 
-def endpoint_parts(path):
-    """The :func:`eigh_stack` decomposition of a block path's two endpoint
-    operators F_0 and F_1."""
-    return eigh_stack(path.model, path.eval(np.array([0.0, 1.0])))
-
-
 def nonneg_masks(parts):
     """Per block of an :func:`eigh_stack` result, the (n, d_b) mask of
     eigenvalues on the nonnegative side: each matrix's selection of
@@ -342,9 +345,9 @@ def nonneg_masks(parts):
     return [lam >= -tol[:, None] for lam, _ in parts]
 
 
-def endpoint_gap(eigenvalues):
-    """Smallest eigenvalue modulus over arrays of endpoint eigenvalues."""
-    return float(min(np.abs(lam).min() for lam in eigenvalues))
+def endpoint_gap(parts):
+    """Smallest eigenvalue modulus of the first and last matrix of ``parts``."""
+    return float(min(np.abs(lam[[0, -1]]).min() for lam, _ in parts))
 
 
 def eigh(op):
@@ -457,8 +460,11 @@ class FrequencyModel:
     xi_max: float = 50.0
 
     def __post_init__(self):
-        if not self.xi_max > 0:
-            raise ValidationError("xi_max must be positive")
+        if not (_is_real(self.xi_max) and 0 < self.xi_max < math.inf):
+            raise ValidationError(f"xi_max must be positive and finite, got {self.xi_max!r}")
+        if not (callable(self.rho) or _is_real(self.rho) and 0 <= self.rho < math.inf):
+            raise ValidationError("density must be nonnegative and finite, or a "
+                                  f"callable, got {self.rho!r}")
 
     def rho_values(self, xi):
         xi = np.asarray(xi, dtype=float)

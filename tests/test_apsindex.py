@@ -702,7 +702,7 @@ def test_numpy_and_python_numbers_set_threshold_and_length(theta, length):
 def chain_bytes(prob):
     """What the memory guard counts for a problem of 1-dimensional blocks:
     160 bytes an interval, and 160 more for each operator entry."""
-    intervals = len(apsindex._grid(prob, apsindex.endpoint_parts(prob.path))) - 1
+    intervals = len(apsindex._grid(prob, apsindex._real_blocks(prob.path))) - 1
     return 160 * (1 + prob.path.model.dim ** 2) * intervals
 
 
@@ -1014,6 +1014,9 @@ APSINDEX_GUARDS = {
         diagonal_operator(_SCALAR, [1.0]), np.zeros(9), length, 8),
         ValidationError, "needs length > 0 and grid_size >= 1")
        for length in (-1.0, 0.0, math.nan)},
+    "halfline-length-inf": (lambda: halfline_aps_apply_inverse(
+        diagonal_operator(_SCALAR, [1.0]), np.zeros(9), math.inf, 8),
+        ValidationError, "with a finite length"),
     "halfline-grid-size": (lambda: halfline_aps_apply_inverse(
         diagonal_operator(_SCALAR, [1.0]), np.zeros(1), 1.0, 0),
         ValidationError, "needs length > 0 and grid_size >= 1"),

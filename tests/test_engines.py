@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sfcalc.apsindex import SCHEMES, SuspensionProblem, aps_index
 from sfcalc.engines import (CHI_PROFILES, ChiProfile, cg_bound, eta_truncated,
                             sf_appendix, sf_crossing, sf_integral, sf_phillips)
 from sfcalc.errors import (DomainError, ModelError, NumericError,
@@ -365,25 +366,35 @@ def test_memo_holds_only_the_latest_path():
 
 
 def test_one_engine_run_decomposes_each_endpoint_once(monkeypatch):
-    # crossing, Phillips, the three heat integrals and both appendix
-    # profiles on one path share one endpoint_parts decomposition of F_0
-    # and F_1 (Phillips and the integrands decompose their own node stacks)
+    # crossing, Phillips, the three heat integrals, both appendix profiles,
+    # the index under both schemes and a cylinder problem all read the
+    # path's spectra: one decomposition of its samples, and none of the
+    # endpoints on their own (the integrands decompose their quadrature
+    # node stacks, 15 nodes a panel)
+    import sfcalc.engines as engines
+    import sfcalc.path as path_module
     from sfcalc import tracemodel
 
     rng = rng_from_seed(8400)
-    path = random_path(rng, random_block_model(rng), num_samples=7)
-    decomposed, eigh_stack = [], tracemodel.eigh_stack
-
-    def counted(model, mats):
-        decomposed.append(len(mats))
-        return eigh_stack(model, mats)
-
-    monkeypatch.setattr(tracemodel, "eigh_stack", counted)
+    path = random_path(rng, random_block_model(rng), num_samples=7,
+                       endpoint_flat=True)
+    decomposed = []
+    for module in (path_module, engines, tracemodel):
+        def counted(model, mats, name=module.__name__, original=module.eigh_stack):
+            decomposed.append((name, len(mats)))
+            return original(model, mats)
+        monkeypatch.setattr(module, "eigh_stack", counted)
     sf_crossing(path)
     sf_phillips(path)
     for call in _integral_calls(path):
         call()
-    assert decomposed == [2]
+    for scheme in SCHEMES:
+        aps_index(SuspensionProblem(path=path, grid_size=32, scheme=scheme))
+    SuspensionProblem(path=path, geometry="cylinder")
+    nodes = [n for name, n in decomposed if name == "sfcalc.engines"]
+    assert nodes and all(n % 15 == 0 for n in nodes)
+    assert [(name, n) for name, n in decomposed if name != "sfcalc.engines"] \
+        == [("sfcalc.path", len(path.us))]
 
 
 def test_appendix_rescale_matches_rescaled_samples():
@@ -622,6 +633,17 @@ ENGINE_GUARDS = {
                          "symbol eta needs the frequency model"),
     "integral-s": (lambda: sf_integral(single_crossing_path(), 0.0), DomainError,
                    "sf_integral requires s > 0"),
+    # infinite s and a tolerance that is not positive and finite are refused
+    # before any quadrature runs
+    "integral-s-inf": (lambda: sf_integral(single_crossing_path(), math.inf),
+                       DomainError, "sf_integral requires s > 0 and finite"),
+    "integral-quad-tol": (lambda: sf_integral(single_crossing_path(), 2.0,
+                                              quad_tol=math.nan),
+                          DomainError, "positive finite tolerance, got nan"),
+    "eta-s-inf": (lambda: eta_truncated(single_crossing_path().sample(0), math.inf),
+                  DomainError, "eta_truncated requires s > 0 and finite"),
+    "cg-s-inf": (lambda: cg_bound(single_crossing_path().sample(0), math.inf),
+                 DomainError, "cg_bound requires s > 1 and finite"),
     "appendix-profile": (lambda: sf_appendix(single_crossing_path(), "sine"),
                          ValidationError, "sf_appendix needs a ChiProfile"),
     "crossing-frequency": (lambda: sf_crossing(dirac_path()), ModelError,

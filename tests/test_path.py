@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcalc.engines import sf_crossing
-from sfcalc.errors import DomainError, ValidationError
+from sfcalc.errors import DomainError, ModelError, ValidationError
 from sfcalc.generators import (involution_path, random_block_model,
                                random_hermitian, random_path,
                                random_unitary_path, rng_from_seed,
@@ -15,7 +15,8 @@ from sfcalc.geometry import standard_metric_paths, trivialized_path
 from sfcalc.path import (OperatorPath, concatenate, conjugate, direct_sum,
                          flatten_endpoints, reparametrize, reverse)
 from sfcalc.tracemodel import (AffineSymbol, BlockHermitian, FrequencyModel,
-                               IndicatorSymbol, WeightedBlockModel, eigh)
+                               IndicatorSymbol, WeightedBlockModel, eigh,
+                               eigh_stack)
 
 
 def scalar_model():
@@ -307,6 +308,25 @@ def test_library_built_stacks_need_no_checks(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
+def test_spectra_hold_the_endpoint_decompositions(seed):
+    # a path's one decomposition serves its endpoints: eval returns every
+    # sample bit for bit, and the first and last matrices of the stacked
+    # decomposition are those of F_0 and F_1 decomposed on their own
+    for name, path in _library_paths(seed).items():
+        assert path.eval(path.us).tobytes() == path._stack.tobytes(), name
+        ends = eigh_stack(path.model, path.eval(np.array([0.0, 1.0])))
+        assert path.spectra is path.spectra
+        for (lam, vecs), (end_lam, end_vecs) in zip(path.spectra, ends):
+            assert lam[[0, -1]].tobytes() == end_lam.tobytes(), name
+            assert vecs[[0, -1]].tobytes() == end_vecs.tobytes(), name
+
+
+def test_symbol_paths_have_no_spectra():
+    with pytest.raises(ModelError, match="symbol paths have no sample decomposition"):
+        _frequency_path().spectra
+
+
+@pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("flat", [False, True], ids=["plain", "flat"])
 def test_max_sample_norm_is_the_largest_sample_norm(seed, flat):
     # one batched 2-norm over the sample stack gives the bits of the norm
@@ -346,6 +366,10 @@ PATH_GUARDS = {
                              "block paths only"),
     "unitary-count": (lambda: conjugate(single_crossing_path(), [np.eye(1)] * 3),
                       "one unitary per path sample"),
+    # a margin of 1/2 or more folds the warp back or divides by zero
+    **{f"flatten-margin-{margin}": (
+        lambda margin=margin: flatten_endpoints(single_crossing_path(), margin=margin),
+        r"margin must lie in \[0, 0.5\)") for margin in (0.5, 0.6, -0.1)},
 }
 
 

@@ -32,6 +32,15 @@ def test_limits_not_in_increasing_order_are_refused():
             adaptive_gauss_legendre(never, a, b)
 
 
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused():
+    def never(x):
+        raise AssertionError("integrand called")
+
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(DomainError, match="positive finite tolerance"):
+            adaptive_gauss_legendre(never, 0.0, 1.0, abs_tol=tol)
+
+
 def test_breakpoints_capture_jump():
     step = lambda x: (x >= 0.3).astype(float)
     value, err, _ = adaptive_gauss_legendre(step, 0.0, 1.0, abs_tol=1e-12,

@@ -332,8 +332,24 @@ TRACEMODEL_GUARDS = {
                    ModelError, "freq_trace expects a FrequencyModel"),
     "xi-max": (lambda: FrequencyModel(xi_max=0.0), ValidationError,
                "xi_max must be positive"),
-    "density": (lambda: freq_trace(FrequencyModel(rho=-1.0), IndicatorSymbol(0.0, 1.0)),
+    "density": (lambda: freq_trace(FrequencyModel(rho=lambda xi: -np.ones_like(xi)),
+                                   IndicatorSymbol(0.0, 1.0)),
                 ValidationError, "density must be nonnegative"),
+    # constructors refuse what they used to coerce or carry to a later failure
+    "block-dim-float": (lambda: WeightedBlockModel([(1.7, 1.0)]), ValidationError,
+                        "block dimension 1.7 must be an integer"),
+    "block-dim-bool": (lambda: WeightedBlockModel([(True, 1.0)]), ValidationError,
+                       "block dimension True must be an integer"),
+    "block-dim-str": (lambda: WeightedBlockModel([("2", 1.0)]), ValidationError,
+                      "block dimension '2' must be an integer"),
+    "block-weight-str": (lambda: WeightedBlockModel([(2, "1.0")]), ValidationError,
+                         "block weight '1.0' must be positive finite"),
+    "density-negative": (lambda: FrequencyModel(rho=-1.0), ValidationError,
+                         "density must be nonnegative and finite"),
+    "density-nan": (lambda: FrequencyModel(rho=math.nan), ValidationError,
+                    "density must be nonnegative and finite"),
+    "xi-max-inf": (lambda: FrequencyModel(xi_max=math.inf), ValidationError,
+                   "xi_max must be positive and finite"),
 }
 
 
