@@ -189,18 +189,24 @@ def _spectral_trace(path, us, f, scale=1.0):
     array is evaluated once and each block decomposed by one stacked
     ``eigh``, into the path's memo entry; dividing by ``scale`` = 1 is exact.
     The entry's arrays are allocated before the node stacks, so the stacks'
-    heap space is freed above them and can return to the system.
+    heap space is freed above them and can return to the system.  A
+    quadrature's first node array holds its initial panels and both halves
+    of each, so one stack of it is 13 MB on two 17-dimensional blocks: the
+    sample stack is dropped once decomposed, before the derivative stack is
+    made, and the eigenvectors are freed before the derivative stack above
+    them, so the freed space ends at the top of the heap and is returned.
     """
     entry = _path_memo(path)
     key = us.tobytes()
     if key not in entry:
         model, n = path.model, len(us)
         kept = [(w, np.empty((n, nb)), np.empty((n, nb))) for nb, w in model.blocks]
+        parts = eigh_stack(model, path.eval(us))
         slopes = path.derivative(us)
-        for (_, lam, diag), sl, (vals, v) in zip(kept, model.block_slices,
-                                                 eigh_stack(model, path.eval(us))):
+        for (_, lam, diag), sl, (vals, v) in zip(kept, model.block_slices, parts):
             lam[...] = vals
             diag[...] = np.sum(v.conj() * (slopes[:, sl, sl] @ v), axis=1).real
+        del parts, vals, v, slopes
         entry[key] = kept
     out = np.zeros(len(us))
     for w, lam, diag in entry[key]:

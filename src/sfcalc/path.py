@@ -136,7 +136,8 @@ class OperatorPath:
 
     def _setup(self, model, us, stack, interpolation):
         self.model, self.interpolation = model, interpolation
-        self.us, self._stack, self._spectra = us, stack, None
+        self.us, self._stack = us, stack
+        self._spectra = self._sample_norm = None
         if interpolation == "cubic":
             self._tangents = hermite_tangents(us, stack)
         scale = max(1.0, np.abs(stack).max())
@@ -217,9 +218,13 @@ class OperatorPath:
         return self._result(u, (self._stack[j + 1] - self._stack[j]) / h)
 
     def max_sample_norm(self):
+        """The largest spectral norm of a sample, computed on first use and
+        kept for the path's life, as :attr:`spectra` is."""
         if self.is_frequency:
             raise ValidationError("sample norms are not defined for symbol paths")
-        return float(np.linalg.norm(self._stack, 2, axis=(1, 2)).max())
+        if self._sample_norm is None:
+            self._sample_norm = float(np.linalg.norm(self._stack, 2, axis=(1, 2)).max())
+        return self._sample_norm
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +296,21 @@ def direct_sum(a, b):
 
 
 def reparametrize(path, phi, num_samples=None):
-    """Resample the path along a monotone time change fixing 0 and 1."""
+    """Resample the path along a monotone time change fixing 0 and 1.
+
+    A ``phi`` that moves 0 or 1 by more than 1e-12, or whose samples
+    decrease anywhere, is refused: it would traverse another path.
+    """
     if num_samples is None:
         num_samples = max(2 * len(path.us) + 1, 17)
     ts = np.linspace(0.0, 1.0, num_samples)
-    warped = np.clip([phi(t) for t in ts], 0.0, 1.0)
-    return OperatorPath._of_stack(path.model, ts, path.eval(warped), path.interpolation)
+    warped = np.array([phi(t) for t in ts], dtype=float)
+    if not (abs(warped[0]) <= 1e-12 and abs(warped[-1] - 1.0) <= 1e-12):
+        raise ValidationError("a time change must fix 0 and 1")
+    if not np.all(np.diff(warped) >= 0.0):
+        raise ValidationError("a time change must be nondecreasing")
+    return OperatorPath._of_stack(path.model, ts, path.eval(np.clip(warped, 0.0, 1.0)),
+                                  path.interpolation)
 
 
 def flatten_endpoints(path, margin=0.15, num_samples=None):

@@ -4,8 +4,9 @@ Panels are bisected until the local error estimate (15-point rule on the
 whole panel against the two half panels) meets its share of the absolute
 tolerance.  Interior discontinuities or kinks must be declared up front as
 breakpoints; panels never straddle a declared breakpoint.  Bisection runs
-level by level: the integrand is called once on the nodes of all initial
-panels, then once per level on both halves of every panel the level
+level by level.  Every initial panel is bisected once, so the integrand is
+called once on the nodes of all initial panels followed by both halves of
+each, then once per further level on both halves of every panel that level
 bisects.  Acceptance depends on the panel alone and accepted panels are
 summed by descending left end, so the result is bitwise that of depth-first
 bisection popping the right half first.
@@ -26,12 +27,23 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _EPS = np.finfo(float).eps
 
 
-def _panel_values(f, panels):
-    """The 15-point rule applied to f and to |f| on each ``(lo, hi)`` panel,
-    from one call of ``f`` on all of their nodes; a non-finite panel value is
-    a NumericError."""
+def _evaluate(f, panels):
+    """f on the 15 nodes of each ``(lo, hi)`` panel, in panel order, from
+    one call of ``f``."""
     nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES for lo, hi in panels]
-    fvals = np.asarray(f(np.concatenate(nodes)), dtype=float)
+    return np.asarray(f(np.concatenate(nodes)), dtype=float)
+
+
+def _halves(panels):
+    """Both halves of each ``(lo, hi)`` panel, left half first."""
+    return [half for lo, hi in panels
+            for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+
+
+def _panel_values(fvals, panels):
+    """The 15-point rule applied to f and to |f| on each ``(lo, hi)`` panel,
+    from f's values ``fvals`` on their nodes; a non-finite panel value is a
+    NumericError."""
     values = []
     for k, (lo, hi) in enumerate(panels):
         row = fvals[k * len(_NODES):(k + 1) * len(_NODES)]
@@ -53,13 +65,16 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     Returns ``(value, error_estimate, panels_used)``.  ``max_panels`` caps
     the panels evaluated: a level that would pass it is not evaluated, and
     a :class:`NumericError` carries the partial estimate (accepted panels
-    plus the panels still to bisect).  A panel whose value is not finite
-    stops the quadrature at once with a NumericError naming it, and so does
-    an ``abs_tol`` below eps times the summed |values| of the initial
-    panels, which rounding keeps any error estimate from reaching; that
-    error carries the initial panels' sum.  Panels accepted at their
-    rounding floor whose estimates sum past ``abs_tol`` are a NumericError
-    carrying the value.
+    plus the panels still to bisect).  The first level, both halves of
+    every initial panel, is evaluated in the same call of ``f`` as the
+    initial panels unless it alone would pass the cap.  A panel whose
+    value is not finite stops the quadrature with a NumericError naming
+    it, and so does an ``abs_tol`` below eps times the summed |values| of
+    the initial panels, which rounding keeps any error estimate from
+    reaching; that error carries the initial panels' sum, and is checked
+    after the initial panels are found finite and before their halves
+    are.  Panels accepted at their rounding floor whose estimates sum
+    past ``abs_tol`` are a NumericError carrying the value.
     """
     if not a < b:
         raise DomainError(f"quadrature needs a < b, got [{a!r}, {b!r}]")
@@ -72,7 +87,10 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     min_width = 1e-14 * span
 
     initial = list(zip(edges[:-1], edges[1:]))
-    values, _ = _panel_values(f, initial)
+    first = _halves(initial) if 3 * len(initial) <= max_panels else []
+    fvals = _evaluate(f, initial + first)
+    split = len(initial) * len(_NODES)
+    values, _ = _panel_values(fvals[:split], initial)
     rounding = _EPS * sum(abs(value) for value in values)
     if abs_tol < rounding:
         raise NumericError(
@@ -82,6 +100,7 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
     used = len(pending)
     accepted = []   # (lo, refined, err)
     worst = 0.0     # largest error estimate the last level rejected
+    ahead = fvals[split:]   # f on ``first``; empty only when the budget stops it
 
     while pending:
         if used + 2 * len(pending) > max_panels:
@@ -89,9 +108,11 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=2 ** 14,
                 "quadrature did not converge within the panel budget "
                 f"({max_panels} panels, error estimate {worst:.3e})",
                 partial=sum(p[1] for p in accepted) + sum(p[2] for p in pending))
-        halves = [half for lo, hi, _ in pending
-                  for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-        values, sizes = _panel_values(f, halves)
+        halves = _halves((lo, hi) for lo, hi, _ in pending)
+        if ahead is None:
+            ahead = _evaluate(f, halves)
+        values, sizes = _panel_values(ahead, halves)
+        ahead = None
         used += len(halves)
         level, pending, worst = pending, [], 0.0
         for k, (lo, hi, whole) in enumerate(level):

@@ -472,8 +472,8 @@ class FrequencyModel:
             vals = np.asarray(self.rho(xi), dtype=float)
         else:
             vals = np.full_like(xi, float(self.rho))
-        if np.any(vals < -1e-15):
-            raise ValidationError("density must be nonnegative")
+        if not np.all((vals >= -1e-15) & (vals < math.inf)):
+            raise ValidationError("density must be nonnegative and finite")
         return np.clip(vals, 0.0, None)
 
     def integrate(self, fn, breakpoints, abs_tol=1e-10):

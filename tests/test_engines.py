@@ -397,6 +397,67 @@ def test_one_engine_run_decomposes_each_endpoint_once(monkeypatch):
         == [("sfcalc.path", len(path.us))]
 
 
+def test_one_path_is_sampled_once_for_all_its_integrals(monkeypatch):
+    # every integral below converges at the first bisection, so the first
+    # node array (the initial panels and both halves of each) is the only
+    # one: it is evaluated, decomposed and differentiated once, in that
+    # order, for all five integrals, and the norm the appendix rescales by
+    # is computed once for the path
+    import sfcalc.engines as engines
+
+    rng = rng_from_seed(8500)
+    path = random_path(rng, random_block_model(rng), num_samples=7)
+    nodes = 15 * 3 * (len(path.us) - 1)
+    calls = []
+
+    def counting(name, original, size=lambda args: len(args[-1])):
+        def counted(*args, **kwargs):
+            calls.append((name, size(args)))
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("eval", "derivative"):
+        monkeypatch.setattr(OperatorPath, name, counting(name, getattr(OperatorPath, name)))
+    monkeypatch.setattr(engines, "eigh_stack", counting("eigh_stack", engines.eigh_stack))
+    monkeypatch.setattr(np.linalg, "norm", counting(
+        "norm", np.linalg.norm, size=lambda args: np.shape(args[0])))
+    monkeypatch.setattr(engines, "_memo", (None, None))
+    results = [sf_integral(path, s) for s in (0.5, 2.0, 8.0)]
+    results += [sf_appendix(path, CHI_PROFILES[name](), rescale=True)
+                for name in ("sine", "quintic")]
+    assert path.max_sample_norm() == results[-1].diagnostics["rescale_factor"]
+    assert [r.diagnostics["quadrature_panels"] for r in results] == [nodes / 15] * 5
+    assert calls == [("eval", nodes), ("eigh_stack", nodes), ("derivative", nodes),
+                     ("norm", (len(path.us), path.model.dim, path.model.dim))]
+
+
+def test_integral_terms_equal_their_closed_forms():
+    # by trace cyclicity the u-integral of tr(F' g'(F)) is tr g(F_1) - tr g(F_0):
+    # the heat term is 1/2 sum w erf(sqrt(s) lambda) and the appendix term
+    # 1/2 sum w chi(lambda / c), both taken between the endpoints
+    for seed in range(20240, 20290):
+        rng = rng_from_seed(seed)
+        model = random_block_model(rng)
+        path = random_path(rng, model, num_samples=7)
+
+        def between(g):
+            ends = [sum(w * np.sum(g(vals[i])) for (_, w), (vals, _)
+                        in zip(model.blocks, path.spectra)) for i in (0, -1)]
+            return 0.5 * (ends[1] - ends[0])
+
+        for s in (0.5, 2.0, 8.0):
+            got = sf_integral(path, s).diagnostics["integral_term"]
+            exact = between(lambda lam: np.array([math.erf(math.sqrt(s) * x)
+                                                  for x in lam]))
+            assert abs(got - exact) <= 1e-8, (seed, s)
+        for name in ("sine", "quintic"):
+            chi = CHI_PROFILES[name]()
+            result = sf_appendix(path, chi, rescale=True)
+            scale = result.diagnostics["rescale_factor"]
+            exact = between(lambda lam: chi(lam / scale))
+            assert abs(result.diagnostics["integral_term"] - exact) <= 1e-9, (seed, name)
+
+
 def test_appendix_rescale_matches_rescaled_samples():
     rng = rng_from_seed(8400)
     for interpolation in ("linear", "cubic"):

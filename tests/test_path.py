@@ -1,5 +1,7 @@
 """Interpolation, differentiation and combinators for operator paths."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,6 +368,15 @@ PATH_GUARDS = {
                              "block paths only"),
     "unitary-count": (lambda: conjugate(single_crossing_path(), [np.eye(1)] * 3),
                       "one unitary per path sample"),
+    # a time change that moves an endpoint or turns back traverses another path
+    **{f"reparametrize-{name}": (
+        lambda phi=phi: reparametrize(single_crossing_path(), phi), message)
+       for name, phi, message in (
+           ("reversed", lambda t: 1.0 - t, "must fix 0 and 1"),
+           ("half", lambda t: 0.5 * t, "must fix 0 and 1"),
+           ("nan", lambda t: math.nan, "must fix 0 and 1"),
+           ("non-monotone", lambda t: t + 0.3 * math.sin(2.0 * math.pi * t),
+            "must be nondecreasing"))},
     # a margin of 1/2 or more folds the warp back or divides by zero
     **{f"flatten-margin-{margin}": (
         lambda margin=margin: flatten_endpoints(single_crossing_path(), margin=margin),

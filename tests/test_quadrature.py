@@ -65,7 +65,8 @@ def test_non_finite_panel_fails_at_once_naming_the_panel():
 
     with pytest.raises(NumericError, match=r"not finite on the panel \[0\.5, 1\.0\]"):
         adaptive_gauss_legendre(f, 0.0, 1.0, breakpoints=(0.5,))
-    assert calls == [30]  # both initial panels in one call, no bisection
+    # both initial panels and their halves in one call, no further level
+    assert calls == [90]
 
 
 def test_rounding_floor_above_tolerance_is_refused_after_one_level():
@@ -81,7 +82,40 @@ def test_rounding_floor_above_tolerance_is_refused_after_one_level():
     with pytest.raises(NumericError, match="rounding floor") as info:
         adaptive_gauss_legendre(f, 0.0, 1.0, abs_tol=1e-8)
     assert abs(info.value.partial) < 1e-5
-    assert calls == [15, 30]
+    assert calls == [45]  # the initial panel and its halves, nothing more
+
+
+def test_rounding_check_comes_before_a_non_finite_half():
+    # the halves are evaluated with the initial panel, but a tolerance below
+    # the initial panel's rounding error is still refused first
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.where(np.isin(x, x[15:]), np.nan, 1e10)
+
+    with pytest.raises(NumericError, match="below the rounding error") as info:
+        adaptive_gauss_legendre(f, 0.0, 1.0, abs_tol=1e-8)
+    assert info.value.partial == pytest.approx(1e10)
+    assert calls == [45]
+    with pytest.raises(NumericError, match=r"not finite on the panel \[0\.0, 0\.5\]"):
+        adaptive_gauss_legendre(f, 0.0, 1.0, abs_tol=1e-3)
+
+
+def test_a_first_bisection_past_the_budget_evaluates_the_initial_panels_alone():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.ones_like(x)
+
+    with pytest.raises(NumericError, match="panel budget") as info:
+        adaptive_gauss_legendre(f, 0.0, 1.0, max_panels=8, breakpoints=(0.25, 0.5))
+    assert info.value.partial == 1.0
+    assert calls == [45]  # three initial panels; 9 with their halves
+    assert adaptive_gauss_legendre(f, 0.0, 1.0, max_panels=9,
+                                   breakpoints=(0.25, 0.5)) == (1.0, 0.0, 9)
+    assert calls == [45, 135]
 
 
 def _depth_first(f, a, b, abs_tol, breakpoints=()):
@@ -128,8 +162,8 @@ def test_level_order_matches_depth_first_bitwise(f, breakpoints, abs_tol):
 
 
 def test_bisection_evaluates_both_halves_in_one_call():
-    """One call on the initial panel, then one call per level on both
-    halves of every panel that level bisects."""
+    """One call on the initial panel and its halves, then one call per
+    further level on both halves of every panel that level bisects."""
     sizes = []
 
     def f(x):
@@ -142,6 +176,6 @@ def test_bisection_evaluates_both_halves_in_one_call():
     # from the single panel [0, 1], level k bisects the panels of width 2**-k
     per_level = Counter(hi - lo for lo, hi in bisected)
     assert len(per_level) > 3
-    assert calls == [15] + [
-        30 * per_level[w] for w in sorted(per_level, reverse=True)]
+    widths = sorted(per_level, reverse=True)
+    assert calls == [45] + [30 * per_level[w] for w in widths[1:]]
     assert used == 1 + 2 * len(bisected)

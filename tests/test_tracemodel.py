@@ -335,6 +335,12 @@ TRACEMODEL_GUARDS = {
     "density": (lambda: freq_trace(FrequencyModel(rho=lambda xi: -np.ones_like(xi)),
                                    IndicatorSymbol(0.0, 1.0)),
                 ValidationError, "density must be nonnegative"),
+    # a non-finite density is an input error, not a quadrature failure
+    **{f"density-callable-{name}": (
+        lambda bad=bad: freq_trace(FrequencyModel(rho=lambda xi: np.full_like(xi, bad)),
+                                   IndicatorSymbol(0.0, 1.0)),
+        ValidationError, "density must be nonnegative and finite")
+       for name, bad in (("nan", math.nan), ("inf", math.inf))},
     # constructors refuse what they used to coerce or carry to a later failure
     "block-dim-float": (lambda: WeightedBlockModel([(1.7, 1.0)]), ValidationError,
                         "block dimension 1.7 must be an integer"),
